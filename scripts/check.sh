@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Sanitizer gate, two lanes. The first builds the tree with AddressSanitizer
-# + UBSan and runs the fast `smoke`-labelled test suites under it. The second
-# builds the multi-threaded suites (ctest label `threads`: test_util,
-# test_exp, test_planner, test_engine_perf_semantics and the redcr_cli serve
-# replay) with ThreadSanitizer and runs them. Intended as the pre-merge
-# check; a plain build stays untouched in ./build.
+# + UBSan and runs the fast `smoke`-labelled test suites under it; those
+# include the `golden` corpus diffs (tests/golden/), so every checked-in
+# redcr_cli output is also reproduced byte for byte under the sanitizers.
+# The second builds the multi-threaded suites (ctest label `threads`:
+# test_util, test_exp, test_planner, test_engine_perf_semantics and the
+# redcr_cli serve replay) with ThreadSanitizer and runs them. Intended as
+# the pre-merge check; a plain build stays untouched in ./build.
 #
 # Usage: scripts/check.sh [asan-build-dir] [tsan-build-dir]
 #        (defaults: build-san, build-tsan)

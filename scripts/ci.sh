@@ -185,6 +185,13 @@ echo "=== ci.sh: serve-mode replay smoke (ASan/UBSan) ==="
   2>/dev/null | diff -u tests/data/serve_golden.ndjson - \
   || { echo "ci.sh: serve replay with --jobs 2 diverged" >&2; exit 1; }
 
+echo "=== ci.sh: golden corpus (ASan/UBSan) ==="
+# redcr_cli run/analyze outputs (stdout, stderr, journal, metrics, trace)
+# byte-compared with tests/golden/ under the sanitizer build. check.sh's
+# smoke lane already ran these (they carry the `smoke` label); this stage
+# names the gate next to the serve-replay golden diff above.
+ctest --test-dir build-san -L golden --output-on-failure -j "$JOBS"
+
 echo "=== ci.sh: engine performance guard ==="
 scripts/bench_guard.sh "$BUILD_DIR"
 
