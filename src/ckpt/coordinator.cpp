@@ -14,10 +14,8 @@
 namespace redcr::ckpt {
 
 CheckpointController::CheckpointController(sim::Engine& engine,
-                                           StableStorage& storage,
                                            CkptConfig config, int num_physical)
     : engine_(engine),
-      storage_(storage),
       config_(std::move(config)),
       num_physical_(num_physical),
       done_epoch_(static_cast<std::size_t>(num_physical), 0) {
@@ -26,59 +24,57 @@ CheckpointController::CheckpointController(sim::Engine& engine,
   if (config_.interval <= 0.0)
     throw std::invalid_argument("CheckpointController: interval must be > 0");
   config_.write_retry.validate("CkptConfig.write_retry");
-  if (config_.hierarchy != nullptr) {
-    if (config_.forked) {
+  if (config_.hierarchy == nullptr)
+    throw std::invalid_argument(
+        "CheckpointController: no storage hierarchy (an empty "
+        "HierarchyParams builds the flat store's implicit level)");
+  if (config_.forked && !config_.hierarchy->implicit()) {
+    throw std::invalid_argument(
+        "CheckpointController: forked checkpointing is not supported with "
+        "a storage hierarchy (the hierarchy's async flush is the "
+        "overlapped-drain mechanism)");
+  }
+  if (static_cast<int>(config_.level_devices.size()) !=
+      config_.hierarchy->num_levels()) {
+    throw std::invalid_argument(
+        "CheckpointController: level_devices must hold one device per "
+        "hierarchy level");
+  }
+  for (const auto* dev : config_.level_devices) {
+    if (dev == nullptr)
       throw std::invalid_argument(
-          "CheckpointController: forked checkpointing is not supported with "
-          "a storage hierarchy (the hierarchy's async flush is the "
-          "overlapped-drain mechanism)");
-    }
-    if (static_cast<int>(config_.level_devices.size()) !=
-        config_.hierarchy->num_levels()) {
-      throw std::invalid_argument(
-          "CheckpointController: level_devices must hold one device per "
-          "hierarchy level");
-    }
-    for (const auto* dev : config_.level_devices) {
-      if (dev == nullptr)
-        throw std::invalid_argument(
-            "CheckpointController: null device in level_devices");
-    }
+          "CheckpointController: null device in level_devices");
   }
 }
 
 CheckpointController::~CheckpointController() = default;
 
-void CheckpointController::journal_write_failed(int rank, int level, int epoch,
-                                                int attempt,
-                                                double device_time) {
-  if (journal_ == nullptr) return;
-  obs::Journal::Event ev;
-  ev.t = engine_.now();
-  ev.type = "ckpt-write-failed";
-  ev.episode = static_cast<int>(config_.episode);
-  ev.rank = rank;
-  ev.level = level;
-  ev.epoch = epoch;
-  ev.attempt = attempt;
-  ev.dur = device_time;
-  journal_->append(std::move(ev));
-}
-
-void CheckpointController::journal_commit(int level, int epoch, long iteration,
-                                          double device_seconds,
-                                          const char* kind) {
-  if (journal_ == nullptr) return;
-  obs::Journal::Event ev;
-  ev.t = engine_.now();
-  ev.type = "ckpt-commit";
-  ev.episode = static_cast<int>(config_.episode);
-  ev.level = level;
-  ev.epoch = epoch;
-  ev.iteration = iteration;
-  ev.dur = device_seconds;
-  if (kind != nullptr) ev.detail = kind;
-  journal_->append(std::move(ev));
+void CheckpointController::note_write_failure(int rank, int level, int epoch,
+                                              int attempt, double device_time,
+                                              bool instant) {
+  ++write_failures_;
+  const StorageHierarchy& hier = *config_.hierarchy;
+  if (recorder_ != nullptr) {
+    if (instant)
+      recorder_->instant("ckpt-write-failed", "ckpt", obs::rank_pid(rank),
+                         engine_.now());
+    recorder_->add("ckpt.write_failures");
+    recorder_->add("time.ckpt_wasted_write", device_time);
+    if (!hier.implicit())
+      recorder_->add("ckpt.level" + std::to_string(level) + ".write_failures");
+  }
+  if (journal_ != nullptr) {
+    obs::Journal::Event ev;
+    ev.t = engine_.now();
+    ev.type = "ckpt-write-failed";
+    ev.episode = static_cast<int>(config_.episode);
+    ev.rank = rank;
+    ev.level = hier.journal_level(level);
+    ev.epoch = epoch;
+    ev.attempt = attempt;
+    ev.dur = device_time;
+    journal_->append(std::move(ev));
+  }
 }
 
 void CheckpointController::arm() {
@@ -108,27 +104,22 @@ sim::CoTask<bool> CheckpointController::maybe_checkpoint(
 
 sim::CoTask<void> CheckpointController::run_checkpoint(
     simmpi::Endpoint& endpoint, long iteration, int epoch) {
+  StorageHierarchy& hier = *config_.hierarchy;
+  const int global_epoch = config_.epoch_base + epoch;
   // First rank in marks the epoch's entry time and resets the epoch's
-  // image-validity state.
+  // write state.
   if (entered_count_ == 0) {
-    epoch_entry_time_ = engine_.now();
+    epoch_.entry_time = engine_.now();
     if (ff_probe_ != nullptr) ff_probe_->epoch_entry.push_back(engine_.now());
-    epoch_image_ok_.assign(static_cast<std::size_t>(num_physical_), 1);
-    epoch_write_exhausted_ = false;
-    if (config_.hierarchy != nullptr) {
-      const auto levels =
-          static_cast<std::size_t>(config_.hierarchy->num_levels());
-      epoch_level_ok_.assign(
-          levels,
-          std::vector<char>(static_cast<std::size_t>(num_physical_), 1));
-      epoch_level_exhausted_.assign(levels, 0);
-      if (journal_ != nullptr) {
-        epoch_level_busy_.resize(levels);
-        for (std::size_t l = 0; l < levels; ++l)
-          epoch_level_busy_[l] = config_.level_devices[l]->busy_until();
-      }
+    const auto levels = static_cast<std::size_t>(hier.num_levels());
+    epoch_.level_ok.assign(
+        levels, std::vector<char>(static_cast<std::size_t>(num_physical_), 1));
+    epoch_.level_exhausted.assign(levels, 0);
+    if (journal_ != nullptr) {
+      epoch_.level_busy.resize(levels);
+      for (std::size_t l = 0; l < levels; ++l)
+        epoch_.level_busy[l] = config_.level_devices[l]->busy_until();
     }
-    if (journal_ != nullptr) epoch_flat_busy_ = storage_.busy_until();
   }
   ++entered_count_;
   const int pid = obs::rank_pid(endpoint.rank());
@@ -146,79 +137,42 @@ sim::CoTask<void> CheckpointController::run_checkpoint(
   if (recorder_ != nullptr)
     recorder_->span("quiesce", "ckpt", pid, t_enter, t_quiesced);
 
-  // 2. Write this process's image to stable storage; writers serialize on
-  //    the device, which is what makes `c` grow with the process count.
+  // 2. Write this process's image to the epoch's levels; writers serialize
+  //    on each device, which is what makes `c` grow with the process count.
   //    Incremental mode shrinks every image after the run's first one.
   //    Unreliable mode: a visibly failed write consumes its device slot but
-  //    writes nothing; blocking mode retries it with capped exponential
+  //    writes nothing; blocking writes retry it with capped exponential
   //    backoff (the backoff runs inside the checkpoint span, so the wasted
   //    time lands in checkpoint_time, where it belongs).
   const util::Bytes image =
       epoch == 1 ? config_.image_bytes
                  : config_.image_bytes * config_.incremental_fraction;
-  if (config_.hierarchy != nullptr) {
-    // Hierarchy routing: blocking write to the due cache level, plus a
+  if (config_.forked) {
+    // Forked mode (implicit level only): pay only the fork pause; the write
+    // drains in background. A failed write cannot be retried synchronously
+    // (the application has already resumed), so it degrades to a latently
+    // invalid image that restore-time validation will reject.
+    StableStorage& dev = *config_.level_devices.front();
+    if (hier.write_fails(config_.faults, 0, config_.episode, epoch,
+                         endpoint.rank(), /*attempt=*/0)) {
+      const auto res = dev.charge_failed_write(image);
+      epoch_.level_ok.front()[static_cast<std::size_t>(endpoint.rank())] = 0;
+      note_write_failure(endpoint.rank(), 0, epoch, 0, res.device_time,
+                         /*instant=*/true);
+    } else {
+      dev.write_completion(image);
+    }
+    co_await sim::delay(engine_, config_.fork_cost);
+  } else {
+    // Interval routing: blocking write to the due cache level, plus a
     // blocking PFS drain when one is due and async flush is off (the async
     // launch happens at rank-0 publish, after the barrier).
-    StorageHierarchy& hier = *config_.hierarchy;
-    const int global_epoch = config_.epoch_base + epoch;
     const int cache = hier.cache_level_for(global_epoch);
     if (cache >= 0) {
       co_await write_level_blocking(endpoint, cache, epoch, image);
     }
     if (hier.pfs_due(global_epoch) && !hier.params().async_flush) {
       co_await write_level_blocking(endpoint, hier.pfs_level(), epoch, image);
-    }
-  } else if (config_.forked) {
-    // Forked mode: pay only the fork pause; the write drains in background.
-    // A failed write cannot be retried synchronously (the application has
-    // already resumed), so it degrades to a latently invalid image that
-    // restore-time validation will reject.
-    const auto res = storage_.write_attempt(image, config_.episode, epoch,
-                                            endpoint.rank(), /*attempt=*/0);
-    if (!res.ok) {
-      epoch_image_ok_[static_cast<std::size_t>(endpoint.rank())] = 0;
-      ++write_failures_;
-      if (recorder_ != nullptr) {
-        recorder_->instant("ckpt-write-failed", "ckpt", pid, engine_.now());
-        recorder_->add("ckpt.write_failures");
-        recorder_->add("time.ckpt_wasted_write", res.device_time);
-      }
-      journal_write_failed(endpoint.rank(), -1, epoch, 0, res.device_time);
-    }
-    co_await sim::delay(engine_, config_.fork_cost);
-  } else {
-    bool written = false;
-    for (int attempt = 0; attempt < config_.write_retry.max_attempts;
-         ++attempt) {
-      const double backoff = config_.write_retry.delay_before(attempt);
-      if (backoff > 0.0) co_await sim::delay(engine_, backoff);
-      const auto res = storage_.write_attempt(image, config_.episode, epoch,
-                                              endpoint.rank(), attempt);
-      co_await sim::delay(engine_, res.completion - engine_.now());
-      if (res.ok) {
-        written = true;
-        break;
-      }
-      ++write_failures_;
-      if (recorder_ != nullptr) {
-        recorder_->instant("ckpt-write-failed", "ckpt", pid, engine_.now());
-        recorder_->add("ckpt.write_failures");
-        recorder_->add("time.ckpt_wasted_write", res.device_time);
-      }
-      journal_write_failed(endpoint.rank(), -1, epoch, attempt,
-                           res.device_time);
-    }
-    if (!written) {
-      // Retries exhausted: this rank has no durable image, so the whole
-      // epoch cannot publish. Still proceed to the barrier (abandoning it
-      // here would deadlock the collective).
-      epoch_image_ok_[static_cast<std::size_t>(endpoint.rank())] = 0;
-      epoch_write_exhausted_ = true;
-      REDCR_LOG_WARN << "ckpt: rank " << endpoint.rank() << " exhausted "
-                     << config_.write_retry.max_attempts
-                     << " write attempts for epoch " << epoch
-                     << "; abandoning the epoch";
     }
   }
   const sim::Time t_written = engine_.now();
@@ -239,29 +193,22 @@ sim::CoTask<void> CheckpointController::run_checkpoint(
   if (endpoint.rank() == 0) {
     ++completed_epochs_;
     assert(completed_epochs_ == epoch);
-    bool abandoned = epoch_write_exhausted_;
-    if (config_.hierarchy != nullptr) {
-      // The epoch is abandoned only when *no* due level can publish: every
-      // due blocking level exhausted its retries and no async flush will
-      // launch (the flush drains the in-memory image, so it launches even
-      // when the cache write failed).
-      StorageHierarchy& hier = *config_.hierarchy;
-      const int global_epoch = config_.epoch_base + epoch;
-      const int cache = hier.cache_level_for(global_epoch);
-      const bool pfs_sync = hier.pfs_due(global_epoch) &&
-                            !hier.params().async_flush;
-      const bool pfs_async = hier.pfs_due(global_epoch) &&
-                             hier.params().async_flush;
-      const bool cache_ok =
-          cache >= 0 &&
-          !epoch_level_exhausted_[static_cast<std::size_t>(cache)];
-      const bool pfs_ok =
-          pfs_sync && !epoch_level_exhausted_[static_cast<std::size_t>(
-                          hier.pfs_level())];
-      abandoned = !cache_ok && !pfs_ok && !pfs_async;
-    }
+    // The epoch is abandoned only when *no* due level can publish: every
+    // due blocking level exhausted its retries and no async flush will
+    // launch (the flush drains the in-memory image, so it launches even
+    // when the cache write failed).
+    const int cache = hier.cache_level_for(global_epoch);
+    const bool pfs_due = hier.pfs_due(global_epoch);
+    const bool async = hier.params().async_flush;
+    const bool cache_ok =
+        cache >= 0 &&
+        !epoch_.level_exhausted[static_cast<std::size_t>(cache)];
+    const bool pfs_ok =
+        pfs_due && !async &&
+        !epoch_.level_exhausted[static_cast<std::size_t>(hier.pfs_level())];
+    const bool abandoned = !cache_ok && !pfs_ok && !(pfs_due && async);
     if (abandoned) ++failed_epochs_;
-    total_checkpoint_time_ += engine_.now() - epoch_entry_time_;
+    total_checkpoint_time_ += engine_.now() - epoch_.entry_time;
     const double work_elapsed = engine_.now() - total_checkpoint_time_;
     if (ff_probe_ != nullptr)
       ff_probe_->closes.push_back({epoch, iteration, work_elapsed,
@@ -276,13 +223,13 @@ sim::CoTask<void> CheckpointController::run_checkpoint(
       ev.episode = static_cast<int>(config_.episode);
       ev.epoch = epoch;
       ev.iteration = iteration;
-      ev.dur = engine_.now() - epoch_entry_time_;
+      ev.dur = engine_.now() - epoch_.entry_time;
       journal_->append(std::move(ev));
     }
     if (recorder_ != nullptr) {
       // Job-track accounting: rank 0's phase boundaries stand in for the
       // whole collective (every rank leaves each phase within the barrier).
-      recorder_->span("checkpoint", "ckpt", obs::kJobPid, epoch_entry_time_,
+      recorder_->span("checkpoint", "ckpt", obs::kJobPid, epoch_.entry_time,
                       engine_.now());
       obs::Registry& metrics = recorder_->metrics();
       if (abandoned) {
@@ -302,61 +249,26 @@ sim::CoTask<void> CheckpointController::run_checkpoint(
     }
     entered_count_ = 0;
     engine_.schedule_after(config_.interval, [this] { ++requested_epochs_; });
-    if (!abandoned && config_.hierarchy != nullptr) {
-      publish_hierarchy(iteration, epoch, work_elapsed);
-    } else if (!abandoned) {
-      // Latent corruption is decided now (it is a pure function of the
-      // image coordinates) but only consulted at restore-time validation.
-      if (config_.faults != nullptr) {
-        for (std::size_t r = 0; r < epoch_image_ok_.size(); ++r) {
-          if (config_.faults->image_corrupts(config_.episode, epoch,
-                                             static_cast<int>(r)))
-            epoch_image_ok_[r] = 0;
-        }
-      }
-      // Verification state is captured *now*, at the barrier — a forked-mode
+    if (!abandoned) {
+      // Verification state is captured *now*, at the barrier — a forked
       // publish deferred to drain completion still records the infections
       // live when the images were taken.
-      auto publish = [this, iteration, epoch, work_elapsed,
-                      entry_busy = epoch_flat_busy_,
-                      entry_time = epoch_entry_time_,
-                      image_ok = epoch_image_ok_,
-                      infections = config_.sdc != nullptr
-                          ? config_.sdc->snapshot_infections()
-                          : std::vector<failure::InfectionRecord>{}] {
-        if (ff_probe_ != nullptr)
-          ff_probe_->publishes.push_back(
-              {epoch, iteration, work_elapsed, engine_.now()});
-        snapshot_.valid = true;
-        snapshot_.iteration = iteration;
-        snapshot_.completed_at = engine_.now();
-        snapshot_.epoch = epoch;
-        snapshot_.work_elapsed = work_elapsed;
-        if (config_.store != nullptr) {
-          Generation gen;
-          gen.snapshot = snapshot_;
-          gen.episode = config_.episode;
-          gen.cumulative_useful = config_.useful_work_base + work_elapsed;
-          gen.image_ok = image_ok;
-          gen.checksum = generation_checksum(config_.episode, epoch, iteration);
-          gen.infections = infections;
-          config_.store->commit(std::move(gen));
-        }
-        // Device seconds this epoch consumed on the flat store: writes
-        // serialize, so the busy-horizon advance beyond max(previous
-        // horizon, epoch entry) is exact.
-        journal_commit(-1, epoch, iteration,
-                       std::max(0.0, storage_.busy_until() -
-                                         std::max(entry_busy, entry_time)),
-                       nullptr);
-      };
+      std::vector<failure::InfectionRecord> infections =
+          config_.sdc != nullptr ? config_.sdc->snapshot_infections()
+                                 : std::vector<failure::InfectionRecord>{};
       if (config_.forked) {
         // The snapshot is restorable only once the slowest background write
         // has drained; a failure before that falls back to the previous one.
-        const sim::Time all_durable = storage_.busy_until();
-        engine_.schedule_at(std::max(all_durable, engine_.now()), publish);
+        const sim::Time all_durable =
+            config_.level_devices.front()->busy_until();
+        engine_.schedule_at(
+            std::max(all_durable, engine_.now()),
+            [this, iteration, epoch, work_elapsed, writes = epoch_,
+             infections = std::move(infections)] {
+              publish(iteration, epoch, work_elapsed, writes, infections);
+            });
       } else {
-        publish();
+        publish(iteration, epoch, work_elapsed, epoch_, infections);
       }
     }
   }
@@ -364,59 +276,55 @@ sim::CoTask<void> CheckpointController::run_checkpoint(
 
 sim::CoTask<void> CheckpointController::write_level_blocking(
     simmpi::Endpoint& endpoint, int level, int epoch, util::Bytes image) {
-  StorageHierarchy& hier = *config_.hierarchy;
+  const StorageHierarchy& hier = *config_.hierarchy;
   const LevelParams& lp = hier.level(level).params;
   StableStorage& dev = *config_.level_devices[static_cast<std::size_t>(level)];
   const util::Bytes size = image * lp.write_factor(num_physical_);
-  const int pid = obs::rank_pid(endpoint.rank());
   bool written = false;
   for (int attempt = 0; attempt < config_.write_retry.max_attempts;
        ++attempt) {
     const double backoff = config_.write_retry.delay_before(attempt);
     if (backoff > 0.0) co_await sim::delay(engine_, backoff);
-    // The level carries its own failure probability, so the draw happens
-    // here rather than inside the device's attached flat oracle.
-    const bool fails =
-        config_.faults != nullptr &&
-        config_.faults->level_write_fails(level, lp.write_failure_prob,
-                                          config_.episode, epoch,
-                                          endpoint.rank(), attempt);
     StableStorage::WriteResult res;
-    if (fails) {
+    if (hier.write_fails(config_.faults, level, config_.episode, epoch,
+                         endpoint.rank(), attempt)) {
       res = dev.charge_failed_write(size);
     } else {
       res.completion = dev.write_completion(size);
-      res.ok = true;
     }
     co_await sim::delay(engine_, res.completion - engine_.now());
     if (res.ok) {
       written = true;
       break;
     }
-    ++write_failures_;
-    if (recorder_ != nullptr) {
-      recorder_->instant("ckpt-write-failed", "ckpt", pid, engine_.now());
-      recorder_->add("ckpt.write_failures");
-      recorder_->add("time.ckpt_wasted_write", res.device_time);
-      recorder_->add("ckpt.level" + std::to_string(level) + ".write_failures");
-    }
-    journal_write_failed(endpoint.rank(), level, epoch, attempt,
-                         res.device_time);
+    note_write_failure(endpoint.rank(), level, epoch, attempt,
+                       res.device_time, /*instant=*/true);
   }
   if (!written) {
-    epoch_level_ok_[static_cast<std::size_t>(level)]
+    // Retries exhausted: this rank has no durable image at the level, so
+    // the level cannot commit the epoch. Still proceed to the barrier
+    // (abandoning it here would deadlock the collective).
+    epoch_.level_ok[static_cast<std::size_t>(level)]
                    [static_cast<std::size_t>(endpoint.rank())] = 0;
-    epoch_level_exhausted_[static_cast<std::size_t>(level)] = 1;
-    REDCR_LOG_WARN << "ckpt: rank " << endpoint.rank() << " exhausted "
-                   << config_.write_retry.max_attempts
-                   << " write attempts at level " << level << " ("
-                   << level_kind_name(lp.kind) << ") for epoch " << epoch
-                   << "; the level skips this epoch";
+    epoch_.level_exhausted[static_cast<std::size_t>(level)] = 1;
+    if (hier.implicit()) {
+      REDCR_LOG_WARN << "ckpt: rank " << endpoint.rank() << " exhausted "
+                     << config_.write_retry.max_attempts
+                     << " write attempts for epoch " << epoch
+                     << "; abandoning the epoch";
+    } else {
+      REDCR_LOG_WARN << "ckpt: rank " << endpoint.rank() << " exhausted "
+                     << config_.write_retry.max_attempts
+                     << " write attempts at level " << level << " ("
+                     << level_kind_name(lp.kind) << ") for epoch " << epoch
+                     << "; the level skips this epoch";
+    }
   }
 }
 
-void CheckpointController::publish_hierarchy(long iteration, int epoch,
-                                             double work_elapsed) {
+void CheckpointController::publish(
+    long iteration, int epoch, double work_elapsed, const EpochWrites& writes,
+    const std::vector<failure::InfectionRecord>& infections) {
   StorageHierarchy& hier = *config_.hierarchy;
   const int global_epoch = config_.epoch_base + epoch;
   const int cache = hier.cache_level_for(global_epoch);
@@ -434,12 +342,6 @@ void CheckpointController::publish_hierarchy(long iteration, int epoch,
   const std::uint64_t checksum =
       generation_checksum(config_.episode, epoch, iteration);
   const double cumulative = config_.useful_work_base + work_elapsed;
-  // Captured once here: an async flush's generation carries the infections
-  // live at launch, even though it commits later.
-  const std::vector<failure::InfectionRecord> infections =
-      config_.sdc != nullptr ? config_.sdc->snapshot_infections()
-                             : std::vector<failure::InfectionRecord>{};
-
   auto make_generation = [&](std::vector<char> image_ok) {
     Generation gen;
     gen.snapshot = snap;
@@ -451,41 +353,52 @@ void CheckpointController::publish_hierarchy(long iteration, int epoch,
     return gen;
   };
 
+  unsigned committed = 0;
   auto commit_blocking = [&](int level) {
-    if (epoch_level_exhausted_[static_cast<std::size_t>(level)]) return;
+    const auto l = static_cast<std::size_t>(level);
+    if (writes.level_exhausted[l]) return;
     // Latent corruption is decided now (pure function of the coordinates)
-    // but only consulted at restore-time validation — per level, each with
-    // its own probability and stream.
-    auto image_ok = epoch_level_ok_[static_cast<std::size_t>(level)];
-    const double corr = hier.level(level).params.corruption_prob;
-    if (config_.faults != nullptr && corr > 0.0) {
+    // but only consulted at restore-time validation — per level, each from
+    // its own stream.
+    auto image_ok = writes.level_ok[l];
+    if (config_.faults != nullptr) {
       for (std::size_t r = 0; r < image_ok.size(); ++r) {
-        if (config_.faults->level_image_corrupts(level, corr, config_.episode,
-                                                 epoch, static_cast<int>(r)))
+        if (hier.image_corrupts(config_.faults, level, config_.episode, epoch,
+                                static_cast<int>(r)))
           image_ok[r] = 0;
       }
     }
     hier.commit(level, make_generation(std::move(image_ok)));
-    if (recorder_ != nullptr) {
+    committed |= 1u << level;
+    if (recorder_ != nullptr && !hier.implicit()) {
       recorder_->metrics().add("ckpt.level" + std::to_string(level) +
                                ".commits");
     }
     if (journal_ != nullptr) {
-      const StableStorage& dev =
-          *config_.level_devices[static_cast<std::size_t>(level)];
-      journal_commit(
-          level, epoch, iteration,
-          std::max(0.0,
-                   dev.busy_until() -
-                       std::max(epoch_level_busy_[static_cast<std::size_t>(
-                                    level)],
-                                epoch_entry_time_)),
-          level_kind_name(hier.level(level).params.kind));
+      // dur: device seconds this epoch consumed at the level — writes
+      // serialize, so the busy-horizon advance beyond max(horizon at entry,
+      // entry) is exact. The implicit level carries no kind.
+      const StableStorage& dev = *config_.level_devices[l];
+      obs::Journal::Event ev;
+      ev.t = engine_.now();
+      ev.type = "ckpt-commit";
+      ev.episode = static_cast<int>(config_.episode);
+      ev.level = hier.journal_level(level);
+      ev.epoch = epoch;
+      ev.iteration = iteration;
+      ev.dur = std::max(0.0, dev.busy_until() - std::max(writes.level_busy[l],
+                                                         writes.entry_time));
+      if (!hier.implicit())
+        ev.detail = level_kind_name(hier.level(level).params.kind);
+      journal_->append(std::move(ev));
     }
   };
 
   if (cache >= 0) commit_blocking(cache);
   if (pfs_due && !hier.params().async_flush) commit_blocking(pfs);
+  if (ff_probe_ != nullptr)
+    ff_probe_->publishes.push_back(
+        {epoch, iteration, work_elapsed, engine_.now(), committed});
 
   if (pfs_due && hier.params().async_flush) {
     // Launch the background drain: reserve one serialized device write per
@@ -504,28 +417,17 @@ void CheckpointController::publish_hierarchy(long iteration, int epoch,
     std::vector<char> ok(static_cast<std::size_t>(num_physical_), 1);
     sim::Time ready = engine_.now();
     for (int r = 0; r < num_physical_; ++r) {
-      const bool wfail =
-          config_.faults != nullptr &&
-          config_.faults->level_write_fails(pfs, lp.write_failure_prob,
-                                            config_.episode, epoch, r,
-                                            /*attempt=*/0);
-      if (wfail) {
+      if (hier.write_fails(config_.faults, pfs, config_.episode, epoch, r,
+                           /*attempt=*/0)) {
         const auto res = dev.charge_failed_write(image);
         ready = res.completion;
         ok[static_cast<std::size_t>(r)] = 0;
-        ++write_failures_;
-        if (recorder_ != nullptr) {
-          recorder_->add("ckpt.write_failures");
-          recorder_->add("ckpt.level" + std::to_string(pfs) +
-                         ".write_failures");
-          recorder_->add("time.ckpt_wasted_write", res.device_time);
-        }
-        journal_write_failed(r, pfs, epoch, 0, res.device_time);
+        note_write_failure(r, pfs, epoch, 0, res.device_time,
+                           /*instant=*/false);
       } else {
         ready = dev.write_completion(image);
-        if (config_.faults != nullptr &&
-            config_.faults->level_image_corrupts(pfs, lp.corruption_prob,
-                                                 config_.episode, epoch, r)) {
+        if (hier.image_corrupts(config_.faults, pfs, config_.episode, epoch,
+                                r)) {
           ok[static_cast<std::size_t>(r)] = 0;
         }
       }

@@ -15,9 +15,11 @@
 // number of iterations (SPMD), which all bundled workloads do.
 //
 // A full checkpoint is: quiesce (bookmark-exchange or counting) -> every
-// rank writes its image to stable storage (BLCR-style per-process image,
-// cost from the storage model) -> closing barrier -> rank 0 records the
-// snapshot and re-arms the timer. The elapsed span is the paper's `c`.
+// rank writes its image to the epoch's storage levels (BLCR-style per-process
+// image, cost from the storage model) -> closing barrier -> rank 0 records
+// the snapshot, commits the epoch's generations and re-arms the timer. The
+// elapsed span is the paper's `c`. Storage is always a StorageHierarchy;
+// the paper's single stable store is its implicit level.
 #pragma once
 
 #include <cmath>
@@ -35,11 +37,11 @@
 
 namespace redcr::failure {
 class SdcMonitor;
+struct InfectionRecord;
 }  // namespace redcr::failure
 
 namespace redcr::ckpt {
 
-class CheckpointStore;
 class StorageHierarchy;
 struct PendingFlush;
 
@@ -64,7 +66,9 @@ struct CkptConfig {
   /// Forked checkpointing: the application resumes after a short fork pause
   /// while the image drains to storage in the background; the snapshot only
   /// becomes restorable once every image is durable. Reduces checkpoint
-  /// *overhead* at unchanged checkpoint *latency* (background §2).
+  /// *overhead* at unchanged checkpoint *latency* (background §2). A write
+  /// mode of the implicit level only: explicit hierarchies reject it (their
+  /// async flush is the overlapped-drain mechanism).
   bool forked = false;
   /// Pause charged to every rank for the fork + copy-on-write setup.
   util::Seconds fork_cost = 0.5;
@@ -72,16 +76,13 @@ struct CkptConfig {
   // --- Unreliable C/R (defaults reproduce the reliable pipeline) ----------
 
   /// Fault oracle for write failures / latent corruption (not owned; null =
-  /// reliable storage). The same pointer should be attached to the
-  /// StableStorage so write attempts consult it.
+  /// reliable storage). StorageHierarchy::write_fails / image_corrupts pick
+  /// each level's stream from it.
   const failure::FaultProcess* faults = nullptr;
   /// Retry/backoff policy for failed image writes (blocking mode only; a
   /// forked-mode write failure degrades to a latently invalid image since
   /// the application has already resumed).
   failure::RetryPolicy write_retry;
-  /// Multi-generation retention store (not owned; null = publish the
-  /// in-controller snapshot only, the original single-snapshot behavior).
-  CheckpointStore* store = nullptr;
   /// Episode index, salt of the per-epoch fault streams.
   std::uint64_t episode = 0;
   /// Job-lifetime useful work at episode start; committed generations carry
@@ -93,15 +94,14 @@ struct CkptConfig {
   /// *unverified* — invalidated when voting finally detects the strain.
   const failure::SdcMonitor* sdc = nullptr;
 
-  // --- Multi-level storage hierarchy (null = flat single-device) ----------
+  // --- Storage ------------------------------------------------------------
 
-  /// Job-scope storage hierarchy (not owned). When set, `store` is ignored
-  /// and image writes route to per-level devices instead of `storage_`:
-  /// every epoch writes (blocking, with retry) to the slowest eligible
-  /// cache level, plus a PFS drain when the PFS interval divides — blocking
-  /// by default, or asynchronous (HierarchyParams::async_flush) so the
-  /// drain overlaps post-checkpoint useful work. Incompatible with
-  /// `forked`.
+  /// Job-scope storage hierarchy (not owned; required). Every epoch writes
+  /// (blocking, with retry) to the slowest eligible cache level, plus a PFS
+  /// drain when the PFS interval divides — blocking by default, or
+  /// asynchronous (HierarchyParams::async_flush) so the drain overlaps
+  /// post-checkpoint useful work. The implicit level (the flat store) is a
+  /// PFS level due every epoch.
   StorageHierarchy* hierarchy = nullptr;
   /// Episode-scope devices, parallel to hierarchy levels (not owned).
   std::vector<StableStorage*> level_devices;
@@ -132,13 +132,15 @@ struct FfProbe {
     double time = 0.0;              ///< engine time of the close
   };
   std::vector<Close> closes;
-  /// Flat-mode snapshot/generation publishes (forked mode: later than the
-  /// close; non-forked: at the close).
+  /// Snapshot publishes (forked mode: later than the close, once the images
+  /// are durable; otherwise at the close), each with the blocking levels
+  /// that committed the epoch's generation then.
   struct Publish {
     int epoch = 0;
     long iteration = 0;
     double work_elapsed = 0.0;
     double time = 0.0;
+    unsigned levels = 0;  ///< bit l set = committed at level l
   };
   std::vector<Publish> publishes;
   /// Hierarchy-mode async PFS flush launches.
@@ -172,8 +174,11 @@ struct Snapshot {
 
 class CheckpointController {
  public:
-  CheckpointController(sim::Engine& engine, StableStorage& storage,
-                       CkptConfig config, int num_physical);
+  /// Throws std::invalid_argument on an empty world, a non-positive
+  /// interval, a missing hierarchy, devices that do not match its levels,
+  /// or forked mode on an explicit hierarchy.
+  CheckpointController(sim::Engine& engine, CkptConfig config,
+                       int num_physical);
   ~CheckpointController();  // out of line: PendingFlush is incomplete here
 
   /// Starts the checkpoint timer (call once per episode, before run()).
@@ -214,14 +219,14 @@ class CheckpointController {
   /// Time spent so far in a still-running checkpoint (0 if none); the
   /// executor uses it to attribute a kill that lands mid-checkpoint.
   [[nodiscard]] double in_progress_elapsed(sim::Time now) const noexcept {
-    return entered_count_ > 0 ? now - epoch_entry_time_ : 0.0;
+    return entered_count_ > 0 ? now - epoch_.entry_time : 0.0;
   }
   [[nodiscard]] const QuiesceStats& last_quiesce() const noexcept {
     return last_quiesce_;
   }
   [[nodiscard]] const CkptConfig& config() const noexcept { return config_; }
 
-  // --- Asynchronous PFS flush (hierarchy mode only) -----------------------
+  // --- Asynchronous PFS flush (explicit hierarchies only) ------------------
 
   /// Flushes launched / committed so far this episode.
   [[nodiscard]] const std::vector<PendingFlush>& pending_flushes() const
@@ -254,7 +259,8 @@ class CheckpointController {
   /// Attaches a causal journal (nullptr detaches). Appends per-epoch
   /// "ckpt-end" / "ckpt-commit" (per level, with the level's device seconds
   /// as `dur`), "ckpt-write-failed", "ckpt-epoch-abandoned" and the
-  /// "flush-launch" / "flush-commit" / "flush-lost" drain events.
+  /// "flush-launch" / "flush-commit" / "flush-lost" drain events. The
+  /// implicit level journals as level -1 with no kind.
   void set_journal(obs::Journal* journal) { journal_ = journal; }
 
   /// Attaches the fast-forward observation tables (nullptr detaches; not
@@ -269,54 +275,54 @@ class CheckpointController {
   sim::CoTask<void> run_checkpoint(simmpi::Endpoint& endpoint, long iteration,
                                    int epoch);
 
-  /// Hierarchy mode: one rank's blocking image write (with retry/backoff)
-  /// to storage level `level`.
+  /// Per-epoch write state, reset at the first rank's entry: per-(level,
+  /// rank) image validity, per-level exhausted-retries flags (an exhausted
+  /// level does not commit this epoch; the epoch is abandoned only if *no*
+  /// due level commits or launches a flush) and, with a journal attached,
+  /// each level device's busy_until() at entry — the delta at commit is the
+  /// device seconds the epoch consumed there (exact: level writes
+  /// serialize).
+  struct EpochWrites {
+    sim::Time entry_time = 0.0;  ///< first-rank entry of the epoch
+    std::vector<std::vector<char>> level_ok;
+    std::vector<char> level_exhausted;
+    std::vector<double> level_busy;
+  };
+
+  /// One rank's blocking image write (with retry/backoff) to `level`.
   sim::CoTask<void> write_level_blocking(simmpi::Endpoint& endpoint, int level,
                                          int epoch, util::Bytes image);
 
-  /// Hierarchy mode: rank 0's post-barrier publish — commits the epoch's
-  /// generations at every due blocking level and launches the async PFS
-  /// flush when one is due.
-  void publish_hierarchy(long iteration, int epoch, double work_elapsed);
+  /// Counts one visibly failed write attempt in every sink (recorder
+  /// instant when `instant`, counters, "ckpt-write-failed" journal event).
+  void note_write_failure(int rank, int level, int epoch, int attempt,
+                          double device_time, bool instant);
+
+  /// Rank 0's publish of a closed epoch: sets the snapshot, commits the
+  /// epoch's generation at every due blocking level and launches the async
+  /// PFS flush when one is due. `writes` is the epoch's write state (a copy
+  /// when a forked publish waits for the drain); `infections` are those
+  /// live at the close.
+  void publish(long iteration, int epoch, double work_elapsed,
+               const EpochWrites& writes,
+               const std::vector<failure::InfectionRecord>& infections);
 
   /// Commits pending flush `idx` if its drain has completed (idempotent).
   void commit_flush(std::size_t idx);
 
-  /// Journals one "ckpt-write-failed" event (no-op without a journal).
-  void journal_write_failed(int rank, int level, int epoch, int attempt,
-                            double device_time);
-  /// Journals one "ckpt-commit" event for `level` (-1 = flat) whose epoch
-  /// consumed `device_seconds` of device time (no-op without a journal).
-  void journal_commit(int level, int epoch, long iteration,
-                      double device_seconds, const char* kind);
-
   sim::Engine& engine_;
-  StableStorage& storage_;
   CkptConfig config_;
   int num_physical_;
   int requested_epochs_ = 0;
   int completed_epochs_ = 0;
-  int failed_epochs_ = 0;         // epochs with an exhausted image write
+  int failed_epochs_ = 0;         // epochs no due level could publish
   std::uint64_t write_failures_ = 0;
   std::vector<int> done_epoch_;   // per physical rank
-  std::vector<char> epoch_image_ok_;  // per rank, reset each epoch
-  bool epoch_write_exhausted_ = false;
-  // Hierarchy mode: per-(level, rank) image validity for the current epoch
-  // and per-level exhausted-retries flags (an exhausted level simply does
-  // not commit this epoch; the epoch is abandoned only if *no* due level
-  // commits or launches a flush).
-  std::vector<std::vector<char>> epoch_level_ok_;
-  std::vector<char> epoch_level_exhausted_;
-  // Journal accounting: device busy_until() per level (and the flat device)
-  // snapshotted at epoch entry; the delta at commit is the device seconds
-  // the epoch consumed at that level (exact — level writes serialize).
-  std::vector<double> epoch_level_busy_;
-  double epoch_flat_busy_ = 0.0;
+  EpochWrites epoch_;
   std::vector<PendingFlush> pending_flushes_;
   int flushes_completed_ = 0;
   int flushes_lost_ = 0;
   Snapshot snapshot_;
-  sim::Time epoch_entry_time_ = 0.0;  // first-rank entry of current epoch
   int entered_count_ = 0;             // ranks inside the current checkpoint
   double total_checkpoint_time_ = 0.0;
   QuiesceStats last_quiesce_;

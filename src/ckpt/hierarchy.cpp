@@ -14,10 +14,12 @@ namespace {
   throw std::invalid_argument(msg);
 }
 
+// Plain concatenation, not a string stream: every job validates its
+// levels (the flat store's implicit one included), and a stream would page
+// in libstdc++'s locale machinery for a message that is only read on error.
 std::string level_prefix(int index, LevelKind kind) {
-  std::ostringstream os;
-  os << "hierarchy level " << index << " (" << level_kind_name(kind) << "): ";
-  return os.str();
+  return "hierarchy level " + std::to_string(index) + " (" +
+         level_kind_name(kind) + "): ";
 }
 
 }  // namespace
@@ -137,7 +139,7 @@ void HierarchyParams::validate(int num_ranks) const {
   constexpr int kMaxLevels = 8;
   if (levels.empty()) {
     fail("storage hierarchy must declare at least one level "
-         "(omit it entirely for the flat pipeline)");
+         "(omit it entirely for the flat store)");
   }
   if (static_cast<int>(levels.size()) > kMaxLevels) {
     fail("storage hierarchy has " + std::to_string(levels.size()) +
@@ -247,20 +249,29 @@ HierarchyParams parse_hierarchy(const std::string& spec) {
   return params;
 }
 
-StorageHierarchy::StorageHierarchy(HierarchyParams params, int num_ranks)
+StorageHierarchy::StorageHierarchy(HierarchyParams params, int num_ranks,
+                                   LevelParams implicit_level)
     : params_(std::move(params)), num_ranks_(num_ranks) {
-  params_.validate(num_ranks_);
-  pfs_level_ = params_.pfs_level();
-  levels_.reserve(params_.levels.size());
-  for (const auto& lp : params_.levels) levels_.emplace_back(lp);
+  if (implicit()) {
+    implicit_level.kind = LevelKind::kPfs;
+    implicit_level.interval = 1;
+    implicit_level.validate(0, num_ranks_);
+    levels_.emplace_back(implicit_level);
+    pfs_level_ = 0;
+  } else {
+    params_.validate(num_ranks_);
+    pfs_level_ = params_.pfs_level();
+    levels_.reserve(params_.levels.size());
+    for (const auto& lp : params_.levels) levels_.emplace_back(lp);
+  }
   // Memoize the interval routing: it is periodic in lcm(intervals), so one
   // table of that size answers every epoch. Pathological interval choices
   // (coprime large intervals) could blow the lcm up, so cap the table and
   // keep the per-call scan as the fallback (period_ stays 0).
   constexpr long kMaxPeriod = 4096;
   long period = 1;
-  for (const auto& lp : params_.levels) {
-    period = std::lcm(period, static_cast<long>(lp.interval));
+  for (const auto& l : levels_) {
+    period = std::lcm(period, static_cast<long>(l.params.interval));
     if (period > kMaxPeriod) return;
   }
   route_.resize(static_cast<size_t>(period));
@@ -333,6 +344,27 @@ bool StorageHierarchy::level_survives(int level,
   return false;
 }
 
+bool StorageHierarchy::write_fails(const failure::FaultProcess* faults,
+                                   int level, std::uint64_t episode,
+                                   int epoch, int rank,
+                                   int attempt) const noexcept {
+  if (faults == nullptr) return false;
+  if (implicit()) return faults->write_fails(episode, epoch, rank, attempt);
+  return faults->level_write_fails(
+      level, levels_[static_cast<size_t>(level)].params.write_failure_prob,
+      episode, epoch, rank, attempt);
+}
+
+bool StorageHierarchy::image_corrupts(const failure::FaultProcess* faults,
+                                      int level, std::uint64_t episode,
+                                      int epoch, int rank) const noexcept {
+  if (faults == nullptr) return false;
+  if (implicit()) return faults->image_corrupts(episode, epoch, rank);
+  return faults->level_image_corrupts(
+      level, levels_[static_cast<size_t>(level)].params.corruption_prob,
+      episode, epoch, rank);
+}
+
 void StorageHierarchy::commit(int level, Generation gen) {
   Level& l = levels_[static_cast<size_t>(level)];
   l.store.commit(std::move(gen));
@@ -385,13 +417,6 @@ StorageHierarchy::invalidate_unverified() {
     }
   }
   return removed;
-}
-
-void StorageHierarchy::clear_volatile() {
-  for (int i = 0; i < num_levels(); ++i) {
-    if (i == pfs_level_) continue;
-    levels_[static_cast<size_t>(i)].store.clear();
-  }
 }
 
 }  // namespace redcr::ckpt

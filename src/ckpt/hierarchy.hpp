@@ -1,13 +1,13 @@
-// Multi-level checkpoint storage hierarchy (SCR-style).
+// Multi-level checkpoint storage hierarchy (SCR-style) — the one checkpoint
+// pipeline.
 //
-// The flat pipeline charges every checkpoint to one stable device and every
-// restore to the single retained generation chain. Real partial-redundancy
-// deployments (LLNL's SCR is the blueprint) write most checkpoints to cheap
-// *cache* levels — node-local storage, partner copies, XOR-encoded sets that
-// survive k rank losses — and only drain every few checkpoints to the slow
-// parallel filesystem. Most restarts are then served from a cache level at a
-// fraction of the PFS fetch cost, which shifts the paper's redundancy-vs-
-// checkpointing crossovers.
+// The paper checkpoints to one shared stable store (Section 5). Real
+// partial-redundancy deployments (LLNL's SCR is the blueprint) write most
+// checkpoints to cheap *cache* levels — node-local storage, partner copies,
+// XOR-encoded sets that survive k rank losses — and only drain every few
+// checkpoints to the slow parallel filesystem. Most restarts are then
+// served from a cache level at a fraction of the PFS fetch cost, which
+// shifts the paper's redundancy-vs-checkpointing crossovers.
 //
 // The hierarchy is an ordered set of levels, fastest first:
 //
@@ -37,12 +37,20 @@
 //
 // Restart fetches from the cheapest surviving level: walk levels fastest
 // first, drop every level the failure's dead set defeats, and within the
-// first surviving level run the existing newest-first checksum fallback.
-// Per-level latent corruption is drawn from the same pure FaultProcess
-// oracle as the flat pipeline, salted with the level index.
+// first surviving level run the newest-first checksum fallback.
 //
-// An empty HierarchyParams (the default) leaves the flat single-device
-// pipeline untouched, byte for byte.
+// An empty HierarchyParams (the default) is the paper's flat store: the
+// StorageHierarchy then holds one *implicit* level — a PFS level written
+// every epoch, with the flat store's device, retention depth and fault
+// probabilities. Every checkpoint runs through the same write, publish,
+// fetch and invalidation code either way; only the fault streams and the
+// sinks tell the two apart. Explicit levels draw write failures and latent
+// corruption from the level-salted FaultClass::kLevelWriteFailure /
+// kLevelCorruption streams; the implicit level draws the flat
+// kWriteFailure / kImageCorruption streams (write_fails / image_corrupts
+// below). The sinks show the implicit level as the flat store: journal
+// level -1, no kind on ckpt-commit, no per-level metrics, report rows or
+// "served by level" log line.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +59,7 @@
 
 #include "ckpt/storage.hpp"
 #include "ckpt/store.hpp"
+#include "failure/faults.hpp"
 
 namespace redcr::ckpt {
 
@@ -75,8 +84,8 @@ struct LevelParams {
   StorageParams device;
   /// Restart-fetch bandwidth, bytes/s. 0 (default) = the fetch is free —
   /// subsumed in the job's flat restart cost R, which is also what the flat
-  /// pipeline assumes. Set > 0 to charge P·S/read_bandwidth per restore
-  /// served by this level.
+  /// store's implicit level uses. Set > 0 to charge P·S/read_bandwidth per
+  /// restore served by this level.
   double read_bandwidth = 0.0;
   /// Generations retained at this level (newest-first fallback depth).
   int retention = 1;
@@ -107,7 +116,8 @@ struct LevelParams {
   void validate(int index, int num_ranks) const;
 };
 
-/// The whole hierarchy configuration. Empty levels = flat pipeline.
+/// The whole hierarchy configuration. Empty levels = the flat store (one
+/// implicit level, see StorageHierarchy).
 struct HierarchyParams {
   /// Ordered fastest (cheapest) first; a kPfs level, when present, must be
   /// unique and last.
@@ -152,12 +162,15 @@ struct PendingFlush {
 
 /// Job-scope state of the hierarchy: one generation store per level plus
 /// lifetime counters. Per-episode devices are built separately (they hold
-/// the episode engine); this object persists across episodes like the flat
-/// CheckpointStore does.
+/// the episode engine); this object persists across episodes.
 class StorageHierarchy {
  public:
   /// Validates `params` against the world size (throws std::invalid_argument).
-  StorageHierarchy(HierarchyParams params, int num_ranks);
+  /// When `params` declares no level, the hierarchy holds `implicit_level`
+  /// alone — the flat store — with its kind forced to kPfs and its interval
+  /// to 1.
+  StorageHierarchy(HierarchyParams params, int num_ranks,
+                   LevelParams implicit_level = {});
 
   struct Level {
     LevelParams params;
@@ -181,6 +194,28 @@ class StorageHierarchy {
   }
   [[nodiscard]] int num_ranks() const noexcept { return num_ranks_; }
   [[nodiscard]] int pfs_level() const noexcept { return pfs_level_; }
+  /// True when the hierarchy is the flat store's single implicit level.
+  [[nodiscard]] bool implicit() const noexcept {
+    return params_.levels.empty();
+  }
+  /// The level index the sinks show: -1 for the implicit level (the flat
+  /// store), `level` otherwise.
+  [[nodiscard]] int journal_level(int level) const noexcept {
+    return implicit() ? -1 : level;
+  }
+
+  /// Does this image-write attempt at `level` fail visibly? The implicit
+  /// level draws FaultProcess::write_fails; explicit levels draw the
+  /// level-salted stream at the level's own probability. False without an
+  /// oracle.
+  [[nodiscard]] bool write_fails(const failure::FaultProcess* faults, int level,
+                                 std::uint64_t episode, int epoch, int rank,
+                                 int attempt) const noexcept;
+  /// Is this image committed at `level` latently corrupt? Same stream
+  /// dispatch as write_fails.
+  [[nodiscard]] bool image_corrupts(const failure::FaultProcess* faults,
+                                    int level, std::uint64_t episode,
+                                    int epoch, int rank) const noexcept;
 
   /// The cache (non-PFS) level epoch `epoch` writes to: the slowest one
   /// whose interval divides it, or -1 if the hierarchy is PFS-only.
@@ -238,13 +273,6 @@ class StorageHierarchy {
   /// restores. Returns the removed generations, fastest level first and
   /// newest-first within a level.
   std::vector<Invalidated> invalidate_unverified();
-
-  /// Drops every generation at volatile (non-PFS) levels — models a full
-  /// node-cache loss (e.g. an allocation change between runs). The executor
-  /// does NOT call this on restart: surviving cache levels persist across
-  /// the relaunch (SCR's scavenge/rebuild); fetch() already drops the
-  /// levels the failure destroyed.
-  void clear_volatile();
 
  private:
   HierarchyParams params_;

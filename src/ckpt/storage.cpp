@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "failure/faults.hpp"
-
 namespace redcr::ckpt {
 
 void StorageParams::validate() const {
@@ -36,25 +34,6 @@ sim::Time StableStorage::write_completion(util::Bytes size) {
   const sim::Time start = std::max(engine_.now(), device_free_);
   device_free_ = start + params_.base_latency + size / params_.bandwidth;
   return device_free_;
-}
-
-StableStorage::WriteResult StableStorage::write_attempt(util::Bytes size,
-                                                        std::uint64_t episode,
-                                                        int epoch, int rank,
-                                                        int attempt) {
-  assert(size >= 0.0);
-  const double cost = params_.base_latency + size / params_.bandwidth;
-  const bool fails = faults_ != nullptr &&
-                     faults_->write_fails(episode, epoch, rank, attempt);
-  if (fails) {
-    // The device slot is consumed either way; a failed write buys nothing.
-    const sim::Time start = std::max(engine_.now(), device_free_);
-    device_free_ = start + cost;
-    ++failed_writes_;
-    wasted_seconds_ += cost;
-    return {device_free_, cost, false};
-  }
-  return {write_completion(size), cost, true};
 }
 
 StableStorage::WriteResult StableStorage::charge_failed_write(

@@ -7,11 +7,13 @@
 // roughly base_latency + P·S/bandwidth — which is how experiment harnesses
 // calibrate an effective `c`.
 //
-// Unreliable mode: an attached failure::FaultProcess makes individual write
-// attempts fail visibly (device time is still consumed — a failed write
-// wastes its slot). The CheckpointController retries failed writes with
-// capped exponential backoff; latent image corruption is drawn separately
-// at snapshot publish and only surfaces at restart-time validation.
+// Unreliable mode: a write the caller's fault oracle failed is charged with
+// charge_failed_write — the device time is still consumed (a failed write
+// wastes its slot) but nothing durable lands. Which attempts fail is the
+// StorageHierarchy's decision (each level draws from its own fault stream);
+// the CheckpointController retries failed writes with capped exponential
+// backoff, and latent image corruption is drawn separately at publish and
+// only surfaces at restart-time validation.
 #pragma once
 
 #include <cstdint>
@@ -19,10 +21,6 @@
 
 #include "sim/engine.hpp"
 #include "util/units.hpp"
-
-namespace redcr::failure {
-class FaultProcess;
-}
 
 namespace redcr::ckpt {
 
@@ -45,29 +43,17 @@ class StableStorage {
   /// than now; returns the absolute completion time.
   sim::Time write_completion(util::Bytes size);
 
-  /// One image-write attempt of the unreliable pipeline. Device time is
-  /// reserved exactly as write_completion does; whether the attempt
-  /// succeeds is decided by the attached fault process (always succeeds
-  /// when none is attached). A failed attempt consumes its device time but
-  /// writes nothing durable.
+  /// Outcome of charge_failed_write.
   struct WriteResult {
     sim::Time completion = 0.0;  ///< absolute time the device frees up
     double device_time = 0.0;    ///< seconds of device time consumed
     bool ok = true;
   };
-  WriteResult write_attempt(util::Bytes size, std::uint64_t episode, int epoch,
-                            int rank, int attempt);
 
   /// Reserves the device slot for a write the *caller* already knows failed
-  /// (the hierarchy draws per-level failures itself — each level has its
-  /// own probability, so the attached oracle's flat write_fails does not
-  /// apply). Counts the attempt as failed and its slot as wasted.
+  /// (StorageHierarchy::write_fails decided it). Counts the attempt as
+  /// failed and its slot as wasted.
   WriteResult charge_failed_write(util::Bytes size);
-
-  /// Attaches the write-failure oracle (nullptr detaches; not owned).
-  void set_fault_process(const failure::FaultProcess* faults) noexcept {
-    faults_ = faults;
-  }
 
   /// Attaches an append-only log of successful-write reservation timestamps
   /// (nullptr detaches; not owned). The fast-forward prototypes read
@@ -94,7 +80,6 @@ class StableStorage {
  private:
   sim::Engine& engine_;
   StorageParams params_;
-  const failure::FaultProcess* faults_ = nullptr;  // optional, not owned
   sim::Time device_free_ = 0.0;
   std::uint64_t writes_ = 0;
   std::uint64_t failed_writes_ = 0;

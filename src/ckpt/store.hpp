@@ -1,4 +1,6 @@
-// Multi-generation checkpoint retention (SCR-style).
+// Multi-generation checkpoint retention (SCR-style): the generation store
+// of one storage level. Every StorageHierarchy level — the flat store's
+// implicit level included — owns one.
 //
 // The reliable pipeline keeps exactly one snapshot: the newest. Once images
 // can be latently corrupt (failure::FaultClass::kImageCorruption), the

@@ -40,8 +40,7 @@ sim::Task rank_main(sim::Engine& engine, apps::Workload& workload,
 
 EpisodeRig::EpisodeRig(const JobConfig& config, const red::ReplicaMap& map,
                        std::vector<std::unique_ptr<apps::Workload>>& workloads,
-                       ckpt::CheckpointStore& store,
-                       ckpt::StorageHierarchy* hierarchy,
+                       ckpt::StorageHierarchy& hierarchy,
                        const failure::FaultProcess* faults,
                        const std::vector<failure::InfectionRecord>&
                            seed_infections,
@@ -49,29 +48,25 @@ EpisodeRig::EpisodeRig(const JobConfig& config, const red::ReplicaMap& map,
     : config_(config),
       map_(map),
       workloads_(&workloads),
-      hierarchy_(hierarchy),
       opts_(opts),
       engine_(),
       network_(engine_, map_.num_physical(), config_.network),
       world_(engine_, network_, static_cast<int>(map_.num_physical())),
-      storage_(engine_, config_.storage),
       monitor_(map_),
       injector_(map_, config_.fail),
       shared_(map_.num_physical()) {
   engine_.set_recorder(opts_.recorder);
   network_.set_recorder(opts_.recorder);
-  storage_.set_fault_process(faults);
 
-  // Hierarchy mode: one episode-scope device per level. The controller
-  // draws each level's write failures itself (each level has its own
-  // probability), so no fault process is attached to these devices.
-  if (hierarchy_ != nullptr) {
-    level_devices_.reserve(static_cast<std::size_t>(hierarchy_->num_levels()));
-    for (int l = 0; l < hierarchy_->num_levels(); ++l) {
-      level_devices_.push_back(std::make_unique<ckpt::StableStorage>(
-          engine_, hierarchy_->level(l).params.device));
-      level_device_ptrs_.push_back(level_devices_.back().get());
-    }
+  // One episode-scope device per storage level (the flat store's implicit
+  // level included). Which writes fail is the hierarchy's decision, drawn
+  // by the controller.
+  std::vector<ckpt::StableStorage*> devices;
+  level_devices_.reserve(static_cast<std::size_t>(hierarchy.num_levels()));
+  for (int l = 0; l < hierarchy.num_levels(); ++l) {
+    level_devices_.push_back(std::make_unique<ckpt::StableStorage>(
+        engine_, hierarchy.level(l).params.device));
+    devices.push_back(level_devices_.back().get());
   }
 
   // SDC fault model: one monitor per episode tracks rank infections and
@@ -95,14 +90,13 @@ EpisodeRig::EpisodeRig(const JobConfig& config, const red::ReplicaMap& map,
   ckpt_config.forked = config_.ckpt_forked;
   ckpt_config.faults = faults;
   ckpt_config.write_retry = config_.ckpt_write_retry;
-  ckpt_config.store = hierarchy_ != nullptr ? nullptr : &store;
   ckpt_config.episode = opts_.episode_index;
   ckpt_config.useful_work_base = opts_.useful_work_base;
-  ckpt_config.hierarchy = hierarchy_;
-  ckpt_config.level_devices = level_device_ptrs_;
+  ckpt_config.hierarchy = &hierarchy;
+  ckpt_config.level_devices = std::move(devices);
   ckpt_config.epoch_base = opts_.epoch_base;
   ckpt_config.sdc = sdc_monitor_ ? &*sdc_monitor_ : nullptr;
-  controller_.emplace(engine_, storage_, ckpt_config,
+  controller_.emplace(engine_, std::move(ckpt_config),
                       static_cast<int>(map_.num_physical()));
   controller_->set_recorder(opts_.recorder);
   controller_->set_journal(opts_.journal);
@@ -207,50 +201,44 @@ EpisodeResult EpisodeRig::collect() {
       opts_.recorder->span("checkpoint", "ckpt", obs::kJobPid,
                            result.elapsed - partial, result.elapsed);
   }
-  if (hierarchy_ != nullptr) {
-    // Settle the async flushes: commits the engine stop may have raced,
-    // then either drain the rest (finished episode — the terminal wait is
-    // the job's `flush` wallclock component) or drop them (a kill destroys
-    // in-flight drains).
-    controller_->commit_ready_flushes(result.elapsed);
-    if (result.finished) {
-      result.flush_drain =
-          controller_->drain_remaining_flushes(result.elapsed);
-      if (result.flush_drain > 0.0 && opts_.recorder != nullptr)
-        opts_.recorder->span("flush-drain", "ckpt", obs::kJobPid,
-                             result.elapsed,
-                             result.elapsed + result.flush_drain);
-      result.elapsed += result.flush_drain;
-    } else {
-      // Bill every destroyed in-flight drain to the killing failure (or to
-      // the injection whose detection forced the rollback: the relaunch
-      // abandons the drain, and the flushed images were suspect anyway).
-      controller_->drop_remaining_flushes(
-          job_failure_  ? job_failure_->cause
-          : result.sdc ? result.sdc->injection_event
-                       : 0);
-    }
-    result.flushes_completed = controller_->flushes_completed();
-    result.flushes_lost = controller_->flushes_lost();
-    result.dead_ranks.assign(map_.num_physical(), 0);
-    for (std::size_t p = 0; p < map_.num_physical(); ++p) {
-      if (monitor_.is_dead(static_cast<red::Rank>(p)))
-        result.dead_ranks[p] = 1;
-    }
-    result.level_writes.reserve(level_devices_.size());
-    result.level_write_failures.reserve(level_devices_.size());
-    for (const auto& dev : level_devices_) {
-      result.level_writes.push_back(dev->writes());
-      result.level_write_failures.push_back(dev->failed_writes());
-    }
+  // Settle the async flushes: commits the engine stop may have raced,
+  // then either drain the rest (finished episode — the terminal wait is
+  // the job's `flush` wallclock component) or drop them (a kill destroys
+  // in-flight drains).
+  controller_->commit_ready_flushes(result.elapsed);
+  if (result.finished) {
+    result.flush_drain = controller_->drain_remaining_flushes(result.elapsed);
+    if (result.flush_drain > 0.0 && opts_.recorder != nullptr)
+      opts_.recorder->span("flush-drain", "ckpt", obs::kJobPid, result.elapsed,
+                           result.elapsed + result.flush_drain);
+    result.elapsed += result.flush_drain;
+  } else {
+    // Bill every destroyed in-flight drain to the killing failure (or to
+    // the injection whose detection forced the rollback: the relaunch
+    // abandons the drain, and the flushed images were suspect anyway).
+    controller_->drop_remaining_flushes(
+        job_failure_  ? job_failure_->cause
+        : result.sdc ? result.sdc->injection_event
+                     : 0);
+  }
+  result.flushes_completed = controller_->flushes_completed();
+  result.flushes_lost = controller_->flushes_lost();
+  result.dead_ranks.assign(map_.num_physical(), 0);
+  for (std::size_t p = 0; p < map_.num_physical(); ++p) {
+    if (monitor_.is_dead(static_cast<red::Rank>(p)))
+      result.dead_ranks[p] = 1;
+  }
+  result.level_writes.reserve(level_devices_.size());
+  result.level_write_failures.reserve(level_devices_.size());
+  for (const auto& dev : level_devices_) {
+    result.level_writes.push_back(dev->writes());
+    result.level_write_failures.push_back(dev->failed_writes());
+    result.wasted_write_time += dev->wasted_write_seconds();
   }
   result.snapshot = controller_->snapshot();
   result.checkpoints = controller_->checkpoints_completed();
   result.failed_checkpoints = controller_->failed_epochs();
   result.write_failures = controller_->write_failures();
-  result.wasted_write_time = storage_.wasted_write_seconds();
-  for (const auto& dev : level_devices_)
-    result.wasted_write_time += dev->wasted_write_seconds();
   result.physical_failures = monitor_.dead_processes();
   result.messages = world_.stats().messages_sent;
   result.events = engine_.events_processed();

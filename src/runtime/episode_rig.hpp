@@ -54,14 +54,14 @@ class EpisodeRig {
     obs::Journal* journal = nullptr;
   };
 
-  /// Builds the whole episode world (engine, network, world, devices,
-  /// controller, monitor, injector, comms) without scheduling anything.
-  /// `store`/`hierarchy` are the job-scope generation containers the
+  /// Builds the whole episode world (engine, network, world, one device
+  /// per storage level, controller, monitor, injector, comms) without
+  /// scheduling anything. `hierarchy` is the job-scope generation store the
   /// controller publishes into; `workloads` is borrowed (one per physical
   /// rank) and must outlive the rig.
   EpisodeRig(const JobConfig& config, const red::ReplicaMap& map,
              std::vector<std::unique_ptr<apps::Workload>>& workloads,
-             ckpt::CheckpointStore& store, ckpt::StorageHierarchy* hierarchy,
+             ckpt::StorageHierarchy& hierarchy,
              const failure::FaultProcess* faults,
              const std::vector<failure::InfectionRecord>& seed_infections,
              Options opts);
@@ -83,7 +83,6 @@ class EpisodeRig {
   [[nodiscard]] sim::Engine& engine() noexcept { return engine_; }
   [[nodiscard]] net::Network& network() noexcept { return network_; }
   [[nodiscard]] simmpi::World& world() noexcept { return world_; }
-  [[nodiscard]] ckpt::StableStorage& storage() noexcept { return storage_; }
   [[nodiscard]] ckpt::CheckpointController& controller() noexcept {
     return *controller_;
   }
@@ -107,14 +106,11 @@ class EpisodeRig {
   const JobConfig& config_;
   const red::ReplicaMap& map_;
   std::vector<std::unique_ptr<apps::Workload>>* workloads_;
-  ckpt::StorageHierarchy* hierarchy_;
   Options opts_;
   sim::Engine engine_;
   net::Network network_;
   simmpi::World world_;
-  ckpt::StableStorage storage_;
   std::vector<std::unique_ptr<ckpt::StableStorage>> level_devices_;
-  std::vector<ckpt::StableStorage*> level_device_ptrs_;
   std::optional<failure::SdcMonitor> sdc_monitor_;
   std::optional<ckpt::CheckpointController> controller_;
   failure::SphereMonitor monitor_;

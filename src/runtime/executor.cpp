@@ -23,6 +23,16 @@ std::string JobAbort::describe() const {
          std::to_string(time) + "s): " + what;
 }
 
+ckpt::StorageHierarchy make_storage_hierarchy(const JobConfig& config,
+                                              int num_ranks) {
+  ckpt::LevelParams flat;
+  flat.device = config.storage;
+  flat.retention = config.ckpt_retention;
+  flat.write_failure_prob = config.ckpt_faults.write_failure_prob;
+  flat.corruption_prob = config.ckpt_faults.corruption_prob;
+  return ckpt::StorageHierarchy(config.hierarchy, num_ranks, flat);
+}
+
 JobExecutor::JobExecutor(JobConfig config, WorkloadFactory factory)
     : config_(std::move(config)),
       map_(config_.num_virtual, config_.redundancy),
@@ -76,8 +86,8 @@ JobExecutor::JobExecutor(JobConfig config, WorkloadFactory factory)
 
 EpisodeResult JobExecutor::run_episode(
     long start_iteration, std::uint64_t episode_index,
-    ckpt::CheckpointStore& store, ckpt::StorageHierarchy* hierarchy,
-    int epoch_base, const failure::FaultProcess* faults,
+    ckpt::StorageHierarchy& hierarchy, int epoch_base,
+    const failure::FaultProcess* faults,
     double useful_work_base,
     const std::vector<failure::InfectionRecord>& seed_infections) {
   EpisodeRig::Options opts;
@@ -88,8 +98,8 @@ EpisodeResult JobExecutor::run_episode(
   opts.inject = config_.inject_failures;
   opts.recorder = config_.recorder;
   opts.journal = config_.journal;
-  EpisodeRig rig(config_, map_, workloads_, store, hierarchy, faults,
-                 seed_infections, opts);
+  EpisodeRig rig(config_, map_, workloads_, hierarchy, faults, seed_infections,
+                 opts);
   rig.start();
   rig.run();
   return rig.collect();
@@ -105,14 +115,12 @@ JobReport JobExecutor::run() {
   // and the restart loop. With the default config (no faults, retention 1)
   // everything below reproduces the reliable pipeline bit for bit; the new
   // metrics are gated on `unreliable` so reliable-mode exports are
-  // unchanged byte for byte as well.
-  ckpt::CheckpointStore store(config_.ckpt_retention);
-  std::optional<ckpt::StorageHierarchy> hierarchy_state;
-  if (config_.hierarchy.enabled())
-    hierarchy_state.emplace(config_.hierarchy,
-                            static_cast<int>(map_.num_physical()));
-  ckpt::StorageHierarchy* hier =
-      hierarchy_state ? &*hierarchy_state : nullptr;
+  // unchanged byte for byte as well. An explicit hierarchy's per-level
+  // sinks (report rows, level metrics, the serving-level log line) are
+  // gated on `levels`; the flat store's implicit level has none.
+  ckpt::StorageHierarchy hier =
+      make_storage_hierarchy(config_, static_cast<int>(map_.num_physical()));
+  const bool levels = config_.hierarchy.enabled();
   std::optional<failure::FaultProcess> fault_process;
   // The hierarchy's per-level probabilities ride the same oracle (and the
   // same seed knob), so a hierarchy with faults needs one even when the
@@ -123,7 +131,7 @@ JobReport JobExecutor::run() {
   const failure::FaultProcess* faults =
       fault_process ? &*fault_process : nullptr;
   const bool unreliable =
-      faults != nullptr || config_.ckpt_retention > 1 || hier != nullptr;
+      faults != nullptr || config_.ckpt_retention > 1 || levels;
 
   // Fast-forward engine selection. kAuto quietly runs the event engine for
   // configurations the driver cannot prove bit-identical; an explicit
@@ -146,19 +154,16 @@ JobReport JobExecutor::run() {
 
   // Populates the per-level lifetime counters; called at every return.
   int epoch_base = 0;
-  std::vector<std::uint64_t> level_writes_total;
-  std::vector<std::uint64_t> level_wfail_total;
-  if (hier != nullptr) {
-    level_writes_total.assign(
-        static_cast<std::size_t>(hier->num_levels()), 0);
-    level_wfail_total.assign(static_cast<std::size_t>(hier->num_levels()), 0);
-  }
+  std::vector<std::uint64_t> level_writes_total(
+      static_cast<std::size_t>(hier.num_levels()), 0);
+  std::vector<std::uint64_t> level_wfail_total(
+      static_cast<std::size_t>(hier.num_levels()), 0);
   auto finalize_levels = [&](JobReport& r) {
-    if (hier == nullptr) return;
-    r.levels.resize(static_cast<std::size_t>(hier->num_levels()));
-    for (int l = 0; l < hier->num_levels(); ++l) {
+    if (!levels) return;
+    r.levels.resize(static_cast<std::size_t>(hier.num_levels()));
+    for (int l = 0; l < hier.num_levels(); ++l) {
       auto& out = r.levels[static_cast<std::size_t>(l)];
-      const auto& lvl = hier->level(l);
+      const auto& lvl = hier.level(l);
       out.kind = ckpt::level_kind_name(lvl.params.kind);
       out.writes = level_writes_total[static_cast<std::size_t>(l)];
       out.write_failures = level_wfail_total[static_cast<std::size_t>(l)];
@@ -250,12 +255,12 @@ JobReport JobExecutor::run() {
     std::optional<EpisodeResult> ff_res;
     if (ff != nullptr)
       ff_res = ff->try_episode(start_iteration,
-                               static_cast<std::uint64_t>(episode), store,
-                               hier, epoch_base, faults, report.useful_work);
+                               static_cast<std::uint64_t>(episode), hier,
+                               epoch_base, faults, report.useful_work);
     const EpisodeResult res =
         ff_res ? std::move(*ff_res)
                : run_episode(start_iteration,
-                             static_cast<std::uint64_t>(episode), store, hier,
+                             static_cast<std::uint64_t>(episode), hier,
                              epoch_base, faults, report.useful_work,
                              seed_infections);
     if (ff != nullptr) {
@@ -269,15 +274,13 @@ JobReport JobExecutor::run() {
       }
     }
     epoch_base += res.checkpoints + res.failed_checkpoints;
-    if (hier != nullptr) {
-      for (std::size_t l = 0; l < level_writes_total.size(); ++l) {
-        level_writes_total[l] += res.level_writes[l];
-        level_wfail_total[l] += res.level_write_failures[l];
-      }
-      report.flush_time += res.flush_drain;
-      report.flushes_completed += res.flushes_completed;
-      report.flushes_lost += res.flushes_lost;
+    for (std::size_t l = 0; l < level_writes_total.size(); ++l) {
+      level_writes_total[l] += res.level_writes[l];
+      level_wfail_total[l] += res.level_write_failures[l];
     }
+    report.flush_time += res.flush_drain;
+    report.flushes_completed += res.flushes_completed;
+    report.flushes_lost += res.flushes_lost;
 
     EpisodeTrace ep;
     ep.index = episode;
@@ -338,13 +341,8 @@ JobReport JobExecutor::run() {
         ev.iteration = gen.snapshot.iteration;
         jnl->append(ev);
       };
-      if (hier != nullptr) {
-        for (const auto& inv : hier->invalidate_unverified())
-          journal_invalidated(inv.level, inv.gen);
-      } else {
-        for (const auto& gen : store.invalidate_unverified())
-          journal_invalidated(-1, gen);
-      }
+      for (const auto& inv : hier.invalidate_unverified())
+        journal_invalidated(hier.journal_level(inv.level), inv.gen);
       report.sdc_invalidated_ckpts += invalidated;
       report.trace.back().sdc_invalidated = invalidated;
       if (rec != nullptr && invalidated > 0) {
@@ -529,49 +527,39 @@ JobReport JobExecutor::run() {
       return report;
     }
 
-    // Restart-time validation: restore the newest generation whose image
-    // set validates, falling back to N-1, N-2, ... past corrupt ones.
-    // Hierarchy mode fetches from the cheapest level that survived the
-    // failure's dead set instead, walking the same newest-first fallback
-    // inside the serving level.
-    ckpt::RestoreResult restore;
-    double fetch_seconds = 0.0;
-    int restore_level = -1;  // journal: serving level, -1 = flat store
-    if (hier != nullptr) {
-      const ckpt::StorageHierarchy::FetchResult fetched =
-          hier->fetch(res.dead_ranks, config_.image_bytes);
-      restore.found = fetched.found;
-      restore.had_generations = fetched.had_generations;
-      restore.generation = fetched.generation;
-      restore.fallback_depth = fetched.fallback_depth;
-      fetch_seconds = fetched.fetch_seconds;
-      if (jnl != nullptr) {
-        for (const int defeated : fetched.defeated_levels) {
-          obs::Journal::Event ev;
-          ev.type = "level-defeated";
-          ev.t = span_begin;
-          ev.cause = cause;
-          ev.episode = episode;
-          ev.level = defeated;
-          jnl->append(ev);
-        }
+    // Restart-time validation: fetch from the cheapest level that survived
+    // the failure's dead set, restoring the newest generation there whose
+    // image set validates and falling back to N-1, N-2, ... past corrupt
+    // ones. Levels the failure destroyed are dropped inside fetch();
+    // surviving cache levels persist across the relaunch (SCR's
+    // scavenge/rebuild), so an early kill in the next episode can still
+    // restore from them.
+    const ckpt::StorageHierarchy::FetchResult restore =
+        hier.fetch(res.dead_ranks, config_.image_bytes);
+    const double fetch_seconds = restore.fetch_seconds;
+    // Journal: serving level, -1 = the flat store's implicit level.
+    const int restore_level = restore.found ? hier.journal_level(restore.level)
+                                            : -1;
+    if (jnl != nullptr) {
+      for (const int defeated : restore.defeated_levels) {
+        obs::Journal::Event ev;
+        ev.type = "level-defeated";
+        ev.t = span_begin;
+        ev.cause = cause;
+        ev.episode = episode;
+        ev.level = defeated;
+        jnl->append(ev);
       }
-      if (fetched.found) {
-        restore_level = fetched.level;
-        report.trace.back().restore_level = fetched.level;
-        if (rec != nullptr) {
-          rec->metrics().add("restore.level" + std::to_string(fetched.level) +
-                             ".serves");
-        }
-        REDCR_LOG_INFO << "job: restore served by level " << fetched.level
-                       << " (" << fetched.levels_defeated
-                       << " level(s) destroyed by the failure)";
+    }
+    if (restore.found && levels) {
+      report.trace.back().restore_level = restore.level;
+      if (rec != nullptr) {
+        rec->metrics().add("restore.level" + std::to_string(restore.level) +
+                           ".serves");
       }
-      // Levels the failure destroyed were dropped inside fetch(); surviving
-      // cache levels persist across the relaunch (SCR's scavenge/rebuild),
-      // so an early kill in the next episode can still restore from them.
-    } else {
-      restore = store.restore();
+      REDCR_LOG_INFO << "job: restore served by level " << restore.level
+                     << " (" << restore.levels_defeated
+                     << " level(s) destroyed by the failure)";
     }
     if (restore.found && fetch_seconds > 0.0) {
       // Charge the serving level's read cost: wallclock the restart pays on

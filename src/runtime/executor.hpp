@@ -91,10 +91,11 @@ struct JobConfig {
   int ckpt_retention = 1;
   /// Retry/backoff for visibly failed image writes (blocking mode).
   failure::RetryPolicy ckpt_write_retry;
-  /// Multi-level storage hierarchy (empty = the flat single-device
-  /// pipeline, bit-identical to before the hierarchy existed). When
-  /// enabled, `storage` and `ckpt_retention` are ignored for checkpoint
-  /// images — each level carries its own device and retention — and
+  /// Multi-level storage hierarchy. Empty = the paper's flat store: one
+  /// implicit PFS level built from `storage`, `ckpt_retention` and the
+  /// `ckpt_faults` write-failure/corruption probabilities. When levels are
+  /// given, those three are ignored for checkpoint images — each level
+  /// carries its own device, retention and probabilities — and
   /// `ckpt_forked` must be off (async flush is the hierarchy's overlapped
   /// drain). Restores fetch from the cheapest level that survived the
   /// failure's dead set.
@@ -196,7 +197,7 @@ struct JobReport {
   int fallback_restores = 0;   ///< restores that fell back past the newest
   std::uint64_t ckpt_write_failures = 0;  ///< image-write attempts that failed
   double wasted_write_time = 0.0;  ///< device seconds burned by failed writes
-  // --- Storage hierarchy (all zero/empty when the hierarchy is off) -------
+  // --- Storage hierarchy (all zero/empty for the flat store) -------------
   /// Terminal async-flush drain wallclock: time spent waiting, after the
   /// workload finished, for in-flight PFS drains to land. The accounting
   /// invariant becomes wallclock == useful + checkpoint + rework + restart
@@ -207,7 +208,8 @@ struct JobReport {
   double fetch_time = 0.0;
   int flushes_completed = 0;  ///< async PFS drains that landed
   int flushes_lost = 0;       ///< async PFS drains destroyed by a kill
-  /// Per-storage-level lifetime counters (one entry per hierarchy level).
+  /// Per-storage-level lifetime counters (one entry per explicit hierarchy
+  /// level; empty for the flat store).
   struct LevelReport {
     std::string kind;                 ///< "local", "partner", "xor", "pfs"
     std::uint64_t writes = 0;         ///< successful device writes
@@ -289,6 +291,12 @@ struct EpisodeResult {
   std::vector<std::uint64_t> level_write_failures;  // per level
 };
 
+/// The job's storage hierarchy: config.hierarchy's levels, or — when it
+/// declares none — the flat store's implicit level (see JobConfig::
+/// hierarchy). Throws std::invalid_argument on an invalid hierarchy.
+[[nodiscard]] ckpt::StorageHierarchy make_storage_hierarchy(
+    const JobConfig& config, int num_ranks);
+
 /// Creates the per-physical-rank workload instance. Called once per physical
 /// rank before the first episode; instances persist across episodes (they
 /// carry the application's checkpointed state). Arguments: virtual rank,
@@ -314,8 +322,7 @@ class JobExecutor {
 
  private:
   EpisodeResult run_episode(long start_iteration, std::uint64_t episode_index,
-                            ckpt::CheckpointStore& store,
-                            ckpt::StorageHierarchy* hierarchy, int epoch_base,
+                            ckpt::StorageHierarchy& hierarchy, int epoch_base,
                             const failure::FaultProcess* faults,
                             double useful_work_base,
                             const std::vector<failure::InfectionRecord>&

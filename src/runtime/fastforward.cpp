@@ -21,8 +21,9 @@ std::uint64_t count_before(const std::vector<sim::Time>& log, double t) {
       std::lower_bound(log.begin(), log.end(), t) - log.begin());
 }
 
-/// Interval-routing congruence classes = lcm of the level intervals; 0 past
-/// the prototype-count cap (each class pays one full prototype episode).
+/// Interval-routing congruence classes = lcm of the level intervals (1 for
+/// the flat store's implicit level); 0 past the prototype-count cap (each
+/// class pays one full prototype episode).
 int routing_classes(const ckpt::HierarchyParams& hierarchy) {
   constexpr long kMaxClasses = 64;
   long period = 1;
@@ -43,8 +44,7 @@ const std::vector<failure::InfectionRecord> kNoInfections;
 /// its epoch-base congruence class.
 struct FastForwardDriver::Prototype {
   std::vector<std::unique_ptr<apps::Workload>> workloads;
-  ckpt::CheckpointStore store;                       // scratch
-  std::optional<ckpt::StorageHierarchy> hierarchy;   // scratch
+  ckpt::StorageHierarchy hierarchy;  // scratch
   ckpt::FfProbe probe;
   std::vector<sim::Time> engine_log;
   std::vector<sim::Time> messages_log;
@@ -57,7 +57,8 @@ struct FastForwardDriver::Prototype {
   bool poisoned = false;
   sim::Time finish_time = 0.0;
 
-  explicit Prototype(int retention) : store(retention) {}
+  Prototype(const JobConfig& config, int num_ranks)
+      : hierarchy(make_storage_hierarchy(config, num_ranks)) {}
 };
 
 FastForwardDriver::FastForwardDriver(const JobConfig& config,
@@ -67,8 +68,7 @@ FastForwardDriver::FastForwardDriver(const JobConfig& config,
       map_(map),
       factory_(factory),
       schedule_(map, config.fail),
-      period_(config.hierarchy.enabled() ? routing_classes(config.hierarchy)
-                                         : 1) {
+      period_(routing_classes(config.hierarchy)) {
   prototypes_.resize(static_cast<std::size_t>(std::max(period_, 1)));
 }
 
@@ -103,7 +103,7 @@ bool FastForwardDriver::supported(
       return unsupported(
           "a hierarchy level has a visible write-failure probability");
   }
-  if (config.hierarchy.enabled() && routing_classes(config.hierarchy) == 0)
+  if (routing_classes(config.hierarchy) == 0)
     return unsupported(
         "the hierarchy's interval-routing period exceeds the "
         "prototype-class cap");
@@ -121,7 +121,8 @@ FastForwardDriver::Prototype& FastForwardDriver::prototype_for(
   auto& slot = prototypes_[static_cast<std::size_t>(klass)];
   if (slot != nullptr) return *slot;
 
-  auto p = std::make_unique<Prototype>(config_.ckpt_retention);
+  auto p = std::make_unique<Prototype>(config_,
+                                       static_cast<int>(map_.num_physical()));
   p->workloads.reserve(map_.num_physical());
   for (std::size_t i = 0; i < map_.num_physical(); ++i) {
     const int virtual_rank = map_.virtual_of(static_cast<red::Rank>(i));
@@ -135,9 +136,6 @@ FastForwardDriver::Prototype& FastForwardDriver::prototype_for(
     p->workloads.back()->restore(0);
   }
   p->total_iterations = p->workloads.front()->total_iterations();
-  if (config_.hierarchy.enabled())
-    p->hierarchy.emplace(config_.hierarchy,
-                         static_cast<int>(map_.num_physical()));
 
   EpisodeRig::Options opts;
   opts.start_iteration = 0;
@@ -145,9 +143,9 @@ FastForwardDriver::Prototype& FastForwardDriver::prototype_for(
   opts.epoch_base = klass;
   opts.useful_work_base = 0.0;
   opts.inject = false;
-  p->rig = std::make_unique<EpisodeRig>(
-      config_, map_, p->workloads, p->store,
-      p->hierarchy ? &*p->hierarchy : nullptr, faults, kNoInfections, opts);
+  p->rig = std::make_unique<EpisodeRig>(config_, map_, p->workloads,
+                                        p->hierarchy, faults, kNoInfections,
+                                        opts);
 
   // Attach the observation tables before anything is scheduled.
   p->rig->engine().set_time_log(&p->engine_log);
@@ -193,9 +191,8 @@ bool FastForwardDriver::ensure(Prototype& p, sim::Time t) {
 
 std::optional<EpisodeResult> FastForwardDriver::try_episode(
     long start_iteration, std::uint64_t episode_index,
-    ckpt::CheckpointStore& store, ckpt::StorageHierarchy* hierarchy,
-    int epoch_base, const failure::FaultProcess* faults,
-    double useful_work_base) {
+    ckpt::StorageHierarchy& hierarchy, int epoch_base,
+    const failure::FaultProcess* faults, double useful_work_base) {
   const int klass =
       period_ > 1 ? epoch_base % period_ : 0;
   Prototype& p = prototype_for(klass, faults);
@@ -322,138 +319,82 @@ std::optional<EpisodeResult> FastForwardDriver::try_episode(
       completed_ckpt +
       (mid_checkpoint ? kill - p.probe.epoch_entry[c] : 0.0);
 
-  if (hierarchy != nullptr) {
-    // Blocking commits, in close order: each epoch to its routed cache
-    // level, plus the synchronous PFS drain when due. Oracle draws use the
-    // *real* episode/epoch-base coordinates — the scratch prototype's own
-    // commits never leave its sandbox.
-    for (std::size_t i = 0; i < c; ++i) {
-      const auto& cl = closes[i];
-      ckpt::Snapshot snap;
-      snap.valid = true;
-      snap.iteration = cl.iteration + shift;
-      snap.completed_at = cl.time;
-      snap.epoch = cl.epoch;
-      snap.work_elapsed = cl.work_elapsed;
-      const std::uint64_t checksum = ckpt::generation_checksum(
-          episode_index, cl.epoch, cl.iteration + shift);
-      const double cumulative = useful_work_base + cl.work_elapsed;
-      const auto commit_level = [&](int level, bool gate_on_prob) {
-        const double corr =
-            hierarchy->level(level).params.corruption_prob;
-        ckpt::Generation gen;
-        gen.snapshot = snap;
-        gen.episode = episode_index;
-        gen.cumulative_useful = cumulative;
-        gen.image_ok.assign(static_cast<std::size_t>(num_physical), 1);
-        gen.checksum = checksum;
-        if (faults != nullptr && (!gate_on_prob || corr > 0.0)) {
-          for (int r = 0; r < num_physical; ++r) {
-            if (faults->level_image_corrupts(level, corr, episode_index,
-                                             cl.epoch, r))
-              gen.image_ok[static_cast<std::size_t>(r)] = 0;
-          }
-        }
-        hierarchy->commit(level, std::move(gen));
-      };
-      const int global_epoch = epoch_base + cl.epoch;
-      const int cache = hierarchy->cache_level_for(global_epoch);
-      if (cache >= 0) commit_level(cache, /*gate_on_prob=*/true);
-      if (hierarchy->pfs_due(global_epoch) &&
-          !hierarchy->params().async_flush)
-        commit_level(hierarchy->pfs_level(), /*gate_on_prob=*/true);
-    }
-    // Async PFS flushes launched before the kill: ready in time commits
-    // (the executor's commit_ready_flushes settles even stop-raced ones),
-    // still in flight is destroyed by the kill.
-    const int pfs = hierarchy->pfs_level();
-    for (const auto& fl : p.probe.flushes) {
-      if (!(fl.start < kill)) break;
-      const auto& lp = hierarchy->level(pfs).params;
-      ckpt::Generation gen;
-      gen.snapshot.valid = true;
-      gen.snapshot.iteration = fl.iteration + shift;
-      gen.snapshot.completed_at = fl.start;
-      gen.snapshot.epoch = fl.epoch;
-      gen.snapshot.work_elapsed = fl.work_elapsed;
-      gen.episode = episode_index;
-      gen.cumulative_useful = useful_work_base + fl.work_elapsed;
-      gen.image_ok.assign(static_cast<std::size_t>(num_physical), 1);
-      gen.checksum = ckpt::generation_checksum(episode_index, fl.epoch,
-                                               fl.iteration + shift);
-      if (faults != nullptr) {
-        // The launch pre-draws validity per rank (write failures are
-        // impossible under the gate; corruption keeps its own stream).
-        for (int r = 0; r < num_physical; ++r) {
-          if (faults->level_image_corrupts(pfs, lp.corruption_prob,
-                                           episode_index, fl.epoch, r))
-            gen.image_ok[static_cast<std::size_t>(r)] = 0;
-        }
-      }
-      if (fl.ready <= kill) {
-        hierarchy->commit(pfs, std::move(gen));
-        ++res.flushes_completed;
-      } else {
-        ++res.flushes_lost;
+  // Generation commits: every snapshot published before the kill commits
+  // at the blocking levels the prototype recorded for it (fastest first,
+  // the controller's order; forked publishes land after their close, once
+  // the images are durable). Oracle draws use the *real* episode
+  // coordinates — the scratch prototype's own commits never leave its
+  // sandbox.
+  const auto& pubs = p.probe.publishes;
+  const auto npub = static_cast<std::size_t>(
+      std::lower_bound(pubs.begin(), pubs.end(), kill,
+                       [](const ckpt::FfProbe::Publish& pb, double v) {
+                         return pb.time < v;
+                       }) -
+      pubs.begin());
+  const auto generation = [&](int level, int epoch, long iteration,
+                              double work_elapsed, double time) {
+    ckpt::Generation gen;
+    gen.snapshot.valid = true;
+    gen.snapshot.iteration = iteration + shift;
+    gen.snapshot.completed_at = time;
+    gen.snapshot.epoch = epoch;
+    gen.snapshot.work_elapsed = work_elapsed;
+    gen.episode = episode_index;
+    gen.cumulative_useful = useful_work_base + work_elapsed;
+    gen.image_ok.assign(static_cast<std::size_t>(num_physical), 1);
+    gen.checksum =
+        ckpt::generation_checksum(episode_index, epoch, iteration + shift);
+    if (faults != nullptr) {
+      // Write failures are impossible under the gate; corruption keeps the
+      // level's own stream.
+      for (int r = 0; r < num_physical; ++r) {
+        if (hierarchy.image_corrupts(faults, level, episode_index, epoch, r))
+          gen.image_ok[static_cast<std::size_t>(r)] = 0;
       }
     }
-    if (c > 0) {
-      res.snapshot.valid = true;
-      res.snapshot.iteration = closes[c - 1].iteration + shift;
-      res.snapshot.completed_at = closes[c - 1].time;
-      res.snapshot.epoch = closes[c - 1].epoch;
-      res.snapshot.work_elapsed = closes[c - 1].work_elapsed;
+    return gen;
+  };
+  for (std::size_t i = 0; i < npub; ++i) {
+    const auto& pub = pubs[i];
+    for (int l = 0; l < hierarchy.num_levels(); ++l) {
+      if ((pub.levels >> l & 1u) == 0) continue;
+      hierarchy.commit(l, generation(l, pub.epoch, pub.iteration,
+                                     pub.work_elapsed, pub.time));
     }
-    res.dead_ranks.assign(static_cast<std::size_t>(num_physical), 0);
-    for (int r = 0; r < num_physical; ++r) {
-      if (mon.is_dead(static_cast<red::Rank>(r)))
-        res.dead_ranks[static_cast<std::size_t>(r)] = 1;
+  }
+  if (npub > 0) {
+    const auto& pub = pubs[npub - 1];
+    res.snapshot.valid = true;
+    res.snapshot.iteration = pub.iteration + shift;
+    res.snapshot.completed_at = pub.time;
+    res.snapshot.epoch = pub.epoch;
+    res.snapshot.work_elapsed = pub.work_elapsed;
+  }
+  // Async PFS flushes launched before the kill: ready in time commits (the
+  // executor's commit_ready_flushes settles even stop-raced ones), still in
+  // flight is destroyed by the kill.
+  const int pfs = hierarchy.pfs_level();
+  for (const auto& fl : p.probe.flushes) {
+    if (!(fl.start < kill)) break;
+    if (fl.ready <= kill) {
+      hierarchy.commit(pfs, generation(pfs, fl.epoch, fl.iteration,
+                                       fl.work_elapsed, fl.start));
+      ++res.flushes_completed;
+    } else {
+      ++res.flushes_lost;
     }
-    res.level_writes.reserve(p.level_write_logs.size());
-    res.level_write_failures.reserve(p.level_write_logs.size());
-    for (const auto& log : p.level_write_logs) {
-      res.level_writes.push_back(count_before(log, kill));
-      res.level_write_failures.push_back(0);
-    }
-  } else {
-    // Flat store: one generation per publish before the kill (forked mode
-    // defers publishes past their close), in publish order.
-    const auto& pubs = p.probe.publishes;
-    const auto npub = static_cast<std::size_t>(
-        std::lower_bound(pubs.begin(), pubs.end(), kill,
-                         [](const ckpt::FfProbe::Publish& pb, double v) {
-                           return pb.time < v;
-                         }) -
-        pubs.begin());
-    for (std::size_t i = 0; i < npub; ++i) {
-      const auto& pub = pubs[i];
-      ckpt::Generation gen;
-      gen.snapshot.valid = true;
-      gen.snapshot.iteration = pub.iteration + shift;
-      gen.snapshot.completed_at = pub.time;
-      gen.snapshot.epoch = pub.epoch;
-      gen.snapshot.work_elapsed = pub.work_elapsed;
-      gen.episode = episode_index;
-      gen.cumulative_useful = useful_work_base + pub.work_elapsed;
-      gen.image_ok.assign(static_cast<std::size_t>(num_physical), 1);
-      gen.checksum = ckpt::generation_checksum(episode_index, pub.epoch,
-                                               pub.iteration + shift);
-      if (faults != nullptr) {
-        for (int r = 0; r < num_physical; ++r) {
-          if (faults->image_corrupts(episode_index, pub.epoch, r))
-            gen.image_ok[static_cast<std::size_t>(r)] = 0;
-        }
-      }
-      store.commit(std::move(gen));
-    }
-    if (npub > 0) {
-      const auto& pub = pubs[npub - 1];
-      res.snapshot.valid = true;
-      res.snapshot.iteration = pub.iteration + shift;
-      res.snapshot.completed_at = pub.time;
-      res.snapshot.epoch = pub.epoch;
-      res.snapshot.work_elapsed = pub.work_elapsed;
-    }
+  }
+  res.dead_ranks.assign(static_cast<std::size_t>(num_physical), 0);
+  for (int r = 0; r < num_physical; ++r) {
+    if (mon.is_dead(static_cast<red::Rank>(r)))
+      res.dead_ranks[static_cast<std::size_t>(r)] = 1;
+  }
+  res.level_writes.reserve(p.level_write_logs.size());
+  res.level_write_failures.reserve(p.level_write_logs.size());
+  for (const auto& log : p.level_write_logs) {
+    res.level_writes.push_back(count_before(log, kill));
+    res.level_write_failures.push_back(0);
   }
 
   res.physical_failures = mon.dead_processes();

@@ -61,14 +61,13 @@ class FastForwardDriver {
 
   /// Attempts to cover one episode arithmetically. Returns the
   /// reconstructed result — including the generation commits into
-  /// `store`/`hierarchy` the event engine would have made — or nullopt when
+  /// `hierarchy` the event engine would have made — or nullopt when
   /// the episode must replay on the event engine (it would complete, a walk
   /// query crossed the divergence boundary, a timestamp tie was detected,
   /// or the prototype is poisoned).
   std::optional<EpisodeResult> try_episode(long start_iteration,
                                            std::uint64_t episode_index,
-                                           ckpt::CheckpointStore& store,
-                                           ckpt::StorageHierarchy* hierarchy,
+                                           ckpt::StorageHierarchy& hierarchy,
                                            int epoch_base,
                                            const failure::FaultProcess* faults,
                                            double useful_work_base);
@@ -86,7 +85,8 @@ class FastForwardDriver {
   /// Pure failure-schedule oracle (never spawned; draw_failure_times only).
   failure::FailureInjector schedule_;
   /// Hierarchy interval-routing period: prototypes are cached per
-  /// epoch_base % period_ congruence class (1 = flat, a single class).
+  /// epoch_base % period_ congruence class (1 = a single class, e.g. the
+  /// flat store).
   int period_ = 1;
   std::vector<std::unique_ptr<Prototype>> prototypes_;
 };

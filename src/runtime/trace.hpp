@@ -39,7 +39,7 @@ struct EpisodeTrace {
   /// passed (0 = restored the newest generation).
   int fallback_depth = 0;
   /// Hierarchy mode: storage level that served the restore after this
-  /// episode (-1 = flat pipeline / no restore / nothing found).
+  /// episode (-1 = flat store / no restore / nothing found).
   int restore_level = -1;
   /// Hierarchy mode: async flushes destroyed in flight by this episode's
   /// kill.

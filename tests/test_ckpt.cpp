@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "ckpt/coordinator.hpp"
+#include "ckpt/hierarchy.hpp"
 #include "ckpt/quiesce.hpp"
 #include "ckpt/storage.hpp"
 #include "net/network.hpp"
@@ -132,6 +133,15 @@ TEST(QuiesceBarrier, HoldsUntilSlowest) {
 
 // --- CheckpointController ------------------------------------------------------
 
+/// A controller configuration on the flat store: the hierarchy's implicit
+/// single level, written through `storage`.
+CkptConfig flat_config(StorageHierarchy& hierarchy, StableStorage& storage) {
+  CkptConfig cfg;
+  cfg.hierarchy = &hierarchy;
+  cfg.level_devices = {&storage};
+  return cfg;
+}
+
 /// A minimal iterative app: compute, exchange with the ring neighbour, and
 /// consult the controller at every boundary.
 sim::Task loop_rank(Harness& h, Rank me, CheckpointController& controller,
@@ -157,10 +167,11 @@ TEST(Controller, TakesCheckpointsAtCommonBoundaries) {
   sp.bandwidth = 1e12;
   sp.base_latency = 0.01;
   StableStorage storage(h.engine, sp);
-  CkptConfig cfg;
+  StorageHierarchy hier({}, n);
+  CkptConfig cfg = flat_config(hier, storage);
   cfg.interval = 10.0;  // with 1 s/iter: a checkpoint every ~10 iterations
   cfg.image_bytes = 1e9;
-  CheckpointController controller(h.engine, storage, cfg, n);
+  CheckpointController controller(h.engine, cfg, n);
 
   std::vector<std::vector<long>> ckpt_iters(n);
   for (Rank r = 0; r < n; ++r)
@@ -189,9 +200,10 @@ TEST(Controller, DisabledNeverCheckpoints) {
   constexpr int n = 3;
   Harness h(n);
   StableStorage storage(h.engine, {});
-  CkptConfig cfg;
+  StorageHierarchy hier({}, n);
+  CkptConfig cfg = flat_config(hier, storage);
   cfg.enabled = false;
-  CheckpointController controller(h.engine, storage, cfg, n);
+  CheckpointController controller(h.engine, cfg, n);
   std::vector<std::vector<long>> ckpt_iters(n);
   for (Rank r = 0; r < n; ++r)
     h.engine.spawn(loop_rank(h, r, controller, 20, 1.0,
@@ -212,10 +224,11 @@ TEST(Controller, CheckpointCostReflectsStorageModel) {
   sp.bandwidth = 1e9;
   sp.base_latency = 0.0;
   StableStorage storage(h.engine, sp);
-  CkptConfig cfg;
+  StorageHierarchy hier({}, n);
+  CkptConfig cfg = flat_config(hier, storage);
   cfg.interval = 5.0;
   cfg.image_bytes = 0.5e9;  // 4 * 0.5 GB / 1 GB/s = 2 s per checkpoint
-  CheckpointController controller(h.engine, storage, cfg, n);
+  CheckpointController controller(h.engine, cfg, n);
   std::vector<std::vector<long>> ckpt_iters(n);
   for (Rank r = 0; r < n; ++r)
     h.engine.spawn(loop_rank(h, r, controller, 30, 1.0,
@@ -238,10 +251,11 @@ TEST(Controller, QuiesceProtocolSelectionIsHonored) {
     StorageParams sp;
     sp.bandwidth = 1e12;
     StableStorage storage(h.engine, sp);
-    CkptConfig cfg;
+    StorageHierarchy hier({}, 16);
+    CkptConfig cfg = flat_config(hier, storage);
     cfg.interval = 5.0;
     cfg.use_counting_quiesce = counting;
-    CheckpointController controller(h.engine, storage, cfg, 16);
+    CheckpointController controller(h.engine, cfg, 16);
     std::vector<std::vector<long>> iters(16);
     for (Rank r = 0; r < 16; ++r)
       h.engine.spawn(loop_rank(h, r, controller, 20, 1.0,
@@ -263,11 +277,12 @@ TEST(Controller, IncrementalCheckpointsShrinkAfterTheFirst) {
   sp.bandwidth = 1e9;
   sp.base_latency = 0.0;
   StableStorage storage(h.engine, sp);
-  CkptConfig cfg;
+  StorageHierarchy hier({}, n);
+  CkptConfig cfg = flat_config(hier, storage);
   cfg.interval = 8.0;
   cfg.image_bytes = 1e9;
   cfg.incremental_fraction = 0.25;
-  CheckpointController controller(h.engine, storage, cfg, n);
+  CheckpointController controller(h.engine, cfg, n);
   std::vector<std::vector<long>> iters(n);
   for (Rank r = 0; r < n; ++r)
     h.engine.spawn(loop_rank(h, r, controller, 40, 1.0,
@@ -291,12 +306,13 @@ TEST(Controller, ForkedCheckpointsBlockBriefly) {
     sp.bandwidth = 1e9;
     sp.base_latency = 0.0;
     StableStorage storage(h.engine, sp);
-    CkptConfig cfg;
+    StorageHierarchy hier({}, 4);
+    CkptConfig cfg = flat_config(hier, storage);
     cfg.interval = 10.0;
     cfg.image_bytes = 2e9;  // 4 ranks x 2 GB / 1 GB/s = 8 s blocking cost
     cfg.forked = forked;
     cfg.fork_cost = 0.25;
-    CheckpointController controller(h.engine, storage, cfg, 4);
+    CheckpointController controller(h.engine, cfg, 4);
     std::vector<std::vector<long>> iters(4);
     for (Rank r = 0; r < 4; ++r)
       h.engine.spawn(loop_rank(h, r, controller, 40, 1.0,
@@ -322,12 +338,13 @@ TEST(Controller, ForkedSnapshotPublishesOnlyWhenDurable) {
   sp.bandwidth = 1e8;  // slow device: 2 x 1 GB -> 20 s drain
   sp.base_latency = 0.0;
   StableStorage storage(h.engine, sp);
-  CkptConfig cfg;
+  StorageHierarchy hier({}, 2);
+  CkptConfig cfg = flat_config(hier, storage);
   cfg.interval = 5.0;
   cfg.image_bytes = 1e9;
   cfg.forked = true;
   cfg.fork_cost = 0.1;
-  CheckpointController controller(h.engine, storage, cfg, 2);
+  CheckpointController controller(h.engine, cfg, 2);
   std::vector<std::vector<long>> iters(2);
   for (Rank r = 0; r < 2; ++r)
     h.engine.spawn(loop_rank(h, r, controller, 12, 1.0,
@@ -345,13 +362,28 @@ TEST(Controller, ForkedSnapshotPublishesOnlyWhenDurable) {
 TEST(Controller, InvalidConfigThrows) {
   sim::Engine engine;
   StableStorage storage(engine, {});
-  CkptConfig cfg;
+  StorageHierarchy hier({}, 4);
+  CkptConfig cfg = flat_config(hier, storage);
   cfg.interval = 0.0;
-  EXPECT_THROW(CheckpointController(engine, storage, cfg, 4),
-               std::invalid_argument);
+  EXPECT_THROW(CheckpointController(engine, cfg, 4), std::invalid_argument);
   cfg.interval = 10.0;
-  EXPECT_THROW(CheckpointController(engine, storage, cfg, 0),
+  EXPECT_THROW(CheckpointController(engine, cfg, 0), std::invalid_argument);
+  // Storage is required, one device per level.
+  CkptConfig no_storage = cfg;
+  no_storage.hierarchy = nullptr;
+  EXPECT_THROW(CheckpointController(engine, no_storage, 4),
                std::invalid_argument);
+  CkptConfig no_devices = cfg;
+  no_devices.level_devices.clear();
+  EXPECT_THROW(CheckpointController(engine, no_devices, 4),
+               std::invalid_argument);
+  // Forked writes are a mode of the flat store's implicit level only.
+  StorageHierarchy explicit_pfs(parse_hierarchy("pfs"), 4);
+  CkptConfig forked = flat_config(explicit_pfs, storage);
+  forked.forked = true;
+  EXPECT_THROW(CheckpointController(engine, forked, 4), std::invalid_argument);
+  forked.hierarchy = &hier;
+  EXPECT_NO_THROW(CheckpointController(engine, forked, 4));
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "ckpt/hierarchy.hpp"
 #include "ckpt/store.hpp"
 #include "exp/runner.hpp"
+#include "failure/faults.hpp"
 #include "obs/recorder.hpp"
 #include "redcr/scenario.hpp"
 #include "runtime/executor.hpp"
@@ -245,6 +246,95 @@ TEST(HierarchyRouting, PfsOnlyHierarchyHasNoCacheLevel) {
   EXPECT_EQ(hier.cache_level_for(1), -1);
   EXPECT_EQ(hier.cache_level_for(7), -1);
   EXPECT_TRUE(hier.pfs_due(1));
+}
+
+TEST(HierarchyRouting, EmptyParamsYieldTheImplicitFlatLevel) {
+  ckpt::LevelParams flat;
+  flat.kind = ckpt::LevelKind::kLocal;  // forced to pfs
+  flat.interval = 3;                    // forced to 1
+  flat.retention = 3;
+  flat.device.bandwidth = 7e8;
+  ckpt::StorageHierarchy hier({}, 8, flat);
+  EXPECT_TRUE(hier.implicit());
+  ASSERT_EQ(hier.num_levels(), 1);
+  EXPECT_EQ(hier.pfs_level(), 0);
+  EXPECT_EQ(hier.level(0).params.kind, ckpt::LevelKind::kPfs);
+  EXPECT_EQ(hier.level(0).params.interval, 1);
+  EXPECT_EQ(hier.level(0).params.retention, 3);
+  EXPECT_DOUBLE_EQ(hier.level(0).params.device.bandwidth, 7e8);
+  EXPECT_EQ(hier.journal_level(0), -1);
+  for (int epoch : {1, 2, 3, 7}) {
+    EXPECT_EQ(hier.cache_level_for(epoch), -1);
+    EXPECT_TRUE(hier.pfs_due(epoch));
+  }
+  const ckpt::StorageHierarchy explicit_pfs(ckpt::parse_hierarchy("pfs"), 8);
+  EXPECT_FALSE(explicit_pfs.implicit());
+  EXPECT_EQ(explicit_pfs.journal_level(0), 0);
+}
+
+TEST(HierarchyFaults, EachLevelDrawsItsOwnFaultStream) {
+  // The implicit level draws the flat FaultClass::kWriteFailure /
+  // kImageCorruption streams; explicit levels draw the level-salted
+  // streams at their own probabilities.
+  failure::CkptFaultParams fp;
+  fp.write_failure_prob = 0.3;
+  fp.corruption_prob = 0.2;
+  fp.seed = 99;
+  const failure::FaultProcess faults(fp);
+  ckpt::LevelParams flat;
+  flat.write_failure_prob = fp.write_failure_prob;
+  flat.corruption_prob = fp.corruption_prob;
+  const ckpt::StorageHierarchy implicit({}, 8, flat);
+  const ckpt::StorageHierarchy levels(
+      ckpt::parse_hierarchy("local,wfail=0.3,corr=0.2;"
+                            "pfs,wfail=0.25,corr=0.35"),
+      8);
+  int flat_fails = 0;
+  int flat_corrupt = 0;
+  int streams_differ = 0;
+  for (std::uint64_t episode = 0; episode < 3; ++episode) {
+    for (int epoch = 1; epoch <= 4; ++epoch) {
+      for (int rank = 0; rank < 8; ++rank) {
+        const bool corrupt = faults.image_corrupts(episode, epoch, rank);
+        EXPECT_EQ(implicit.image_corrupts(&faults, 0, episode, epoch, rank),
+                  corrupt);
+        flat_corrupt += corrupt ? 1 : 0;
+        for (int l = 0; l < 2; ++l) {
+          const double prob = levels.level(l).params.corruption_prob;
+          const bool level_corrupt =
+              faults.level_image_corrupts(l, prob, episode, epoch, rank);
+          EXPECT_EQ(levels.image_corrupts(&faults, l, episode, epoch, rank),
+                    level_corrupt);
+          if (l == 0 && level_corrupt != corrupt) ++streams_differ;
+        }
+        for (int attempt = 0; attempt < 3; ++attempt) {
+          const bool fails =
+              faults.write_fails(episode, epoch, rank, attempt);
+          EXPECT_EQ(implicit.write_fails(&faults, 0, episode, epoch, rank,
+                                         attempt),
+                    fails);
+          flat_fails += fails ? 1 : 0;
+          for (int l = 0; l < 2; ++l) {
+            const double prob = levels.level(l).params.write_failure_prob;
+            const bool level_fails = faults.level_write_fails(
+                l, prob, episode, epoch, rank, attempt);
+            EXPECT_EQ(levels.write_fails(&faults, l, episode, epoch, rank,
+                                         attempt),
+                      level_fails);
+            if (l == 0 && level_fails != fails) ++streams_differ;
+          }
+        }
+        // No oracle, no faults.
+        EXPECT_FALSE(implicit.write_fails(nullptr, 0, episode, epoch, rank, 0));
+        EXPECT_FALSE(levels.image_corrupts(nullptr, 1, episode, epoch, rank));
+      }
+    }
+  }
+  // The draws are not degenerate, and level 0 at the flat probabilities
+  // still reads a different stream than the implicit level.
+  EXPECT_GT(flat_fails, 0);
+  EXPECT_GT(flat_corrupt, 0);
+  EXPECT_GT(streams_differ, 0);
 }
 
 // ---- Fetch semantics -------------------------------------------------------
